@@ -13,7 +13,15 @@ of :mod:`repro.policy.msp`, over the asymmetric pairing:
   ``C~ = m * e(g1,g2)^(alpha s)``, ``C' = g1^s``,
   ``C_i = g1^(a lambda_i) * H(rho(i))^(-r_i)``, ``D_i = g2^(r_i)``.
 * ``Decrypt`` -> recover ``e(g1,g2)^(alpha s)`` with the satisfying
-  vector of the user's attributes.
+  vector ``v`` of the user's attributes.  Bilinearity turns the textbook
+  ``e(C', K) / prod_i (e(C_i, L) e(K_x, D_i))^(v_i)`` into one product
+  ``e(C', K) * e(prod_i C_i^(-v_i), L) * prod_i e(K_x^(-v_i), D_i)``:
+  every ``C_i`` shares ``L``, so they fold into one G1 argument, and the
+  whole open is one multi-pairing with one final exponentiation.
+
+Every exponentiation of a fixed base (``g1``, ``g1^a``, ``g2``,
+``e(g1,g2)^alpha``, the attribute hashes) goes through the group's
+fixed-base combs (:meth:`~repro.crypto.group.BilinearGroup.pow_fixed`).
 
 ``encapsulate``/``decapsulate`` expose the KEM form used by the hybrid
 envelope (:mod:`repro.abe.hybrid`): the GT element itself is the key
@@ -115,9 +123,9 @@ class CpAbeScheme:
         grp = self.group
         attrs = frozenset(attrs)
         t = grp.random_scalar(rng)
-        k = grp.g2 ** ((keys.master.alpha + keys.master.a * t) % grp.order)
-        k_attr = {x: keys.public.hash_attribute(x) ** t for x in attrs}
-        return CpAbeSecretKey(attrs=attrs, k=k, l=grp.g2**t, k_attr=k_attr)
+        k = grp.pow_fixed(grp.g2, keys.master.alpha + keys.master.a * t)
+        k_attr = {x: grp.pow_fixed(keys.public.hash_attribute(x), t) for x in attrs}
+        return CpAbeSecretKey(attrs=attrs, k=k, l=grp.pow_fixed(grp.g2, t), k_attr=k_attr)
 
     # ------------------------------------------------------------------
     def _share(
@@ -135,8 +143,10 @@ class CpAbeScheme:
         for i, label in enumerate(msp.labels):
             lam = sum(msp.matrix[i][j] * w[j] for j in range(msp.n_cols)) % grp.order
             r_i = grp.random_scalar(rng)
-            c_rows.append(pk.g1_a**lam * pk.hash_attribute(label) ** (-r_i % grp.order))
-            d_rows.append(pk.g2**r_i)
+            c_rows.append(
+                grp.pow_fixed(pk.g1_a, lam) * grp.pow_fixed(pk.hash_attribute(label), -r_i)
+            )
+            d_rows.append(grp.pow_fixed(pk.g2, r_i))
         return s, msp, c_rows, d_rows
 
     def encrypt(
@@ -152,8 +162,8 @@ class CpAbeScheme:
         s, _msp, c_rows, d_rows = self._share(pk, policy, rng)
         return CpAbeCiphertext(
             policy=policy,
-            c_tilde=message * pk.e_gg_alpha**s,
-            c_prime=pk.g1**s,
+            c_tilde=message * self.group.pow_fixed(pk.e_gg_alpha, s),
+            c_prime=self.group.pow_fixed(pk.g1, s),
             c_rows=tuple(c_rows),
             d_rows=tuple(d_rows),
         )
@@ -166,11 +176,11 @@ class CpAbeScheme:
     ) -> tuple[bytes, CpAbeCiphertext]:
         """KEM: returns (key material bytes, header ciphertext)."""
         s, _msp, c_rows, d_rows = self._share(pk, policy, rng)
-        key = pk.e_gg_alpha**s
+        key = self.group.pow_fixed(pk.e_gg_alpha, s)
         header = CpAbeCiphertext(
             policy=policy,
             c_tilde=None,
-            c_prime=pk.g1**s,
+            c_prime=self.group.pow_fixed(pk.g1, s),
             c_rows=tuple(c_rows),
             d_rows=tuple(d_rows),
         )
@@ -185,14 +195,22 @@ class CpAbeScheme:
         v = msp.satisfying_vector(sk.attrs)
         if v is None:
             raise AccessDeniedError("attributes do not satisfy the ciphertext policy")
-        numerator = grp.pair(ct.c_prime, sk.k)
-        denom = grp.identity(GT)
+        order = grp.order
+
+        def neg_pow(x: GroupElement, e: int) -> GroupElement:
+            return ~x if e == 1 else x ** (-e % order)
+
+        # e(C', K) * e(prod C_i^(-v_i), L) * prod e(K_x^(-v_i), D_i)
+        pairs = [(ct.c_prime, sk.k)]
+        folded = None
         for i, label in enumerate(msp.labels):
             if v[i] == 0:
                 continue
-            term = grp.pair(ct.c_rows[i], sk.l) * grp.pair(sk.k_attr[label], ct.d_rows[i])
-            denom = denom * term ** v[i]
-        return numerator / denom  # e(g1,g2)^(alpha s)
+            c_i = neg_pow(ct.c_rows[i], v[i])
+            folded = c_i if folded is None else folded * c_i
+            pairs.append((neg_pow(sk.k_attr[label], v[i]), ct.d_rows[i]))
+        pairs.append((folded, sk.l))
+        return grp.multi_pair(pairs)  # e(g1,g2)^(alpha s)
 
     def decrypt(self, sk: CpAbeSecretKey, ct: CpAbeCiphertext) -> GroupElement:
         """Decrypt a GT message; raises :class:`AccessDeniedError`."""

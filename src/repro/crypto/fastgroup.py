@@ -25,36 +25,36 @@ from repro.crypto.field import CURVE_ORDER
 from repro.crypto.group import (
     ELEMENT_BYTES,
     G1,
-    G2,
     GT,
     BilinearGroup,
     GroupElement,
+    lru_get,
+    lru_put,
     register_pickle_backend,
 )
-from repro.errors import CryptoError, DeserializationError, GroupMismatchError
+from repro.errors import CryptoError, DeserializationError
 
 
 class SimulatedGroup(BilinearGroup):
     """Bilinear-group simulation tracking exponents mod the BN254 order.
 
-    The pairing cache and ``hash_to_g1`` memo mirror
-    :class:`~repro.crypto.group.BN254Group` *counter semantics* exactly
-    (a cache hit bumps only the hit counter, never ``pairings`` /
-    ``h2g1_misses``; both honour :attr:`fast_paths`), so
-    :class:`~repro.crypto.group.GroupOpStats` deltas measured on this
-    backend predict the real backend's cache behaviour op-for-op even
-    though the simulated computations are trivially cheap.
+    Pairings share the base class's cache and counting path with
+    :class:`~repro.crypto.group.BN254Group`, and the ``hash_to_g1`` memo
+    mirrors its *counter semantics* exactly (a cache hit bumps only the
+    hit counter, never ``pairings`` / ``h2g1_misses``; both honour
+    :attr:`fast_paths`), so :class:`~repro.crypto.group.GroupOpStats`
+    deltas measured on this backend predict the real backend's cache
+    behaviour op-for-op even though the simulated computations are
+    trivially cheap.
     """
 
     name = "simulated"
 
-    #: Same bounds as BN254Group, so eviction behaviour matches too.
-    PAIR_CACHE_MAX = 1024
+    #: Same bound as BN254Group, so eviction behaviour matches too.
     H2G1_CACHE_MAX = 4096
 
     def __init__(self):
         super().__init__()
-        self._pair_cache: "OrderedDict[tuple[int, int], GroupElement]" = OrderedDict()
         self._h2g1_cache: "OrderedDict[tuple, GroupElement]" = OrderedDict()
 
     @property
@@ -120,37 +120,21 @@ class SimulatedGroup(BilinearGroup):
 
     def hash_to_g1(self, *parts) -> GroupElement:
         if self.fast_paths:
-            cached = self._h2g1_cache.get(parts)
+            cached = lru_get(self._h2g1_cache, parts)
             if cached is not None:
-                self._h2g1_cache.move_to_end(parts)
                 self.stats.h2g1_hits += 1
                 return cached
         element = GroupElement(self, G1, self.hash_to_scalar(b"h2g1", *parts))
         if self.fast_paths:
             self.stats.h2g1_misses += 1
-            self._h2g1_cache[parts] = element
-            if len(self._h2g1_cache) > self.H2G1_CACHE_MAX:
-                self._h2g1_cache.popitem(last=False)
+            lru_put(self._h2g1_cache, parts, element, self.H2G1_CACHE_MAX)
         return element
 
-    def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.kind != G1 or b.kind != G2:
-            raise GroupMismatchError("pair() expects (G1, G2)")
-        if not self.fast_paths:
-            self.stats.pairings += 1
-            return GroupElement(self, GT, a.value * b.value % CURVE_ORDER)
-        key = (a.value, b.value)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self._pair_cache.move_to_end(key)
-            self.stats.pair_cache_hits += 1
-            return cached
-        self.stats.pairings += 1
-        out = GroupElement(self, GT, a.value * b.value % CURVE_ORDER)
-        self._pair_cache[key] = out
-        if len(self._pair_cache) > self.PAIR_CACHE_MAX:
-            self._pair_cache.popitem(last=False)
-        return out
+    def _pair_product(self, pairs: list) -> GroupElement:
+        total = 0
+        for a, b in pairs:
+            total += a.value * b.value
+        return GroupElement(self, GT, total % CURVE_ORDER)
 
 
 _DEFAULT: SimulatedGroup | None = None

@@ -52,8 +52,12 @@ class GroupOpStats:
     ``ops`` covers ``*``/``/``, ``pows`` the generic ``**`` path,
     ``pows_fixed``/``multi_pows`` the precomputed fast paths, and
     ``pairings`` every pairing evaluated (cache hits excluded — those
-    are the pairings *not* computed).  :mod:`repro.bench.harness`
-    snapshots these around each measured phase.
+    are the pairings *not* computed).  ``miller_loops`` counts Miller
+    loop passes (a k-pair :meth:`BilinearGroup.multi_pair` is one pass)
+    and ``final_exps`` final exponentiations; pair-cache hits and
+    products whose every pair has an identity argument count neither.
+    :mod:`repro.bench.harness` snapshots these around each measured
+    phase.
     """
 
     __slots__ = (
@@ -62,6 +66,8 @@ class GroupOpStats:
         "pows_fixed",
         "multi_pows",
         "pairings",
+        "miller_loops",
+        "final_exps",
         "pair_cache_hits",
         "h2g1_hits",
         "h2g1_misses",
@@ -198,6 +204,29 @@ def _unpickle_element(name: str, kind: str, data: bytes) -> "GroupElement":
     return resolve_pickle_backend(name).deserialize(kind, data)
 
 
+def lru_get(cache: OrderedDict, key):
+    """``cache[key]`` marked most recently used, or ``None``.
+
+    Relax worker threads share a group's caches, so another thread may
+    evict ``key`` between the lookup and the refresh; the value read is
+    still valid then.
+    """
+    value = cache.get(key)
+    if value is not None:
+        try:
+            cache.move_to_end(key)
+        except KeyError:
+            pass
+    return value
+
+
+def lru_put(cache: OrderedDict, key, value, bound: int) -> None:
+    """Insert ``key``, evicting the least recently used entry past ``bound``."""
+    cache[key] = value
+    if len(cache) > bound:
+        cache.popitem(last=False)
+
+
 class BilinearGroup(ABC):
     """Asymmetric (Type-3) bilinear group ``e: G1 x G2 -> GT``.
 
@@ -214,12 +243,21 @@ class BilinearGroup(ABC):
     :attr:`fast_paths` to ``False`` routes them (and the backend caches)
     through the naive implementations for A/B measurement.  All caches
     and comb tables are per-instance — elements never cross backends.
+
+    Pairings go through one path on every backend: :meth:`pair` checks a
+    bounded LRU pairing cache keyed on the (G1, G2) serializations (a
+    hit returns the bit-identical GT element and counts only
+    ``pair_cache_hits``), and both :meth:`pair` misses and
+    :meth:`multi_pair` evaluate through the backend's
+    :meth:`_pair_product`, so the op counters agree across backends.
     """
 
     name: str = "abstract"
 
     #: Max number of per-base comb tables kept (LRU).
     COMB_CACHE_MAX = 256
+    #: Max cached pairings (LRU).
+    PAIR_CACHE_MAX = 1024
 
     def __init__(self):
         self._g1 = None
@@ -228,6 +266,7 @@ class BilinearGroup(ABC):
         self.stats = GroupOpStats()
         self.fast_paths = True
         self._combs: "OrderedDict[tuple, Callable[[int], GroupElement]]" = OrderedDict()
+        self._pair_cache: "OrderedDict[tuple[bytes, bytes], GroupElement]" = OrderedDict()
 
     # -- public API ----------------------------------------------------------
     @property
@@ -291,16 +330,47 @@ class BilinearGroup(ABC):
     def hash_to_g1(self, *parts) -> GroupElement:
         """Random-oracle style hash into G1 (used by CP-ABE)."""
 
-    @abstractmethod
     def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Bilinear pairing e(a in G1, b in G2) -> GT."""
+        """Bilinear pairing e(a in G1, b in G2) -> GT, through the cache."""
+        if a.kind != G1 or b.kind != G2:
+            raise GroupMismatchError("pair() expects (G1, G2)")
+        if not self.fast_paths:
+            self.stats.pairings += 1
+            return self._evaluate([(a, b)])
+        key = (self._serialize(a), self._serialize(b))
+        cached = lru_get(self._pair_cache, key)
+        if cached is not None:
+            self.stats.pair_cache_hits += 1
+            return cached
+        self.stats.pairings += 1
+        out = self._evaluate([(a, b)])
+        lru_put(self._pair_cache, key, out, self.PAIR_CACHE_MAX)
+        return out
 
     def multi_pair(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> GroupElement:
-        """prod_i e(a_i, b_i); backends may share the final exponentiation."""
-        acc = self.identity(GT)
+        """``prod_i e(a_i, b_i)`` as one Miller loop and one final exponentiation.
+
+        Bypasses the pairing cache: the product is what the caller
+        needs, and its pairs rarely recur as a whole.
+        """
+        pairs = list(pairs)
         for a, b in pairs:
-            acc = acc * self.pair(a, b)
-        return acc
+            if a.kind != G1 or b.kind != G2:
+                raise GroupMismatchError("multi_pair() expects (G1, G2) pairs")
+        self.stats.pairings += len(pairs)
+        return self._evaluate(pairs)
+
+    def _evaluate(self, pairs: list) -> GroupElement:
+        live = [(a, b) for a, b in pairs if not (a.is_identity or b.is_identity)]
+        if not live:
+            return self.identity(GT)
+        self.stats.miller_loops += 1
+        self.stats.final_exps += 1
+        return self._pair_product(live)
+
+    @abstractmethod
+    def _pair_product(self, pairs: list) -> GroupElement:
+        """``prod e(a_i, b_i)`` over pairs with no identity argument."""
 
     # -- precomputation fast paths -------------------------------------------
     def pow_fixed(self, base: GroupElement, exponent: int) -> GroupElement:
@@ -316,15 +386,11 @@ class BilinearGroup(ABC):
             return self._pow(base, exponent)
         self.stats.pows_fixed += 1
         key = (base.kind, self._serialize(base))
-        comb = self._combs.get(key)
+        comb = lru_get(self._combs, key)
         if comb is None:
             comb = self._make_comb(base)
             self.stats.combs_built += 1
-            self._combs[key] = comb
-            if len(self._combs) > self.COMB_CACHE_MAX:
-                self._combs.popitem(last=False)
-        else:
-            self._combs.move_to_end(key)
+            lru_put(self._combs, key, comb, self.COMB_CACHE_MAX)
         return comb(exponent)
 
     def multi_pow(
@@ -434,13 +500,14 @@ class BilinearGroup(ABC):
 class BN254Group(BilinearGroup):
     """The real pairing backend over BN254.
 
-    On top of the generic interface this backend keeps two per-instance
-    caches for the protocol's static work:
+    On top of the generic interface (and its pairing cache) this backend
+    keeps two per-instance caches for the protocol's static work:
 
-    * a bounded LRU pairing cache keyed on the (G1, G2) serializations —
-      the ``e(g, pk)``-style pairs a verifier recomputes per VO entry
-      hit it, and a hit returns the previously computed (bit-identical)
-      GT element without running a Miller loop;
+    * a bounded LRU of prepared G2 lines (:func:`repro.crypto.pairing.
+      prepare_g2`) keyed on the G2 serialization — most Miller loops
+      take one of a few recurring G2 points (verification-key
+      components, attribute bases, CP-ABE user keys), whose G2 half of
+      the loop is then done once;
     * a ``hash_to_g1`` memo — try-and-increment is re-run constantly for
       the small, bounded attribute universe.
 
@@ -449,13 +516,14 @@ class BN254Group(BilinearGroup):
 
     name = "bn254"
 
-    #: Max cached pairings / hash-to-curve results (LRU).
-    PAIR_CACHE_MAX = 1024
+    #: Max cached prepared G2 points (LRU); one is about 13 KB.
+    LINE_CACHE_MAX = 32
+    #: Max cached hash-to-curve results (LRU).
     H2G1_CACHE_MAX = 4096
 
     def __init__(self):
         super().__init__()
-        self._pair_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
+        self._line_cache: "OrderedDict[bytes, _pairing.PreparedG2]" = OrderedDict()
         self._h2g1_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
 
     @property
@@ -581,17 +649,14 @@ class BN254Group(BilinearGroup):
         """
         seed = hash_bytes(b"repro-h2c", *parts)
         if self.fast_paths:
-            cached = self._h2g1_cache.get(seed)
+            cached = lru_get(self._h2g1_cache, seed)
             if cached is not None:
-                self._h2g1_cache.move_to_end(seed)
                 self.stats.h2g1_hits += 1
                 return cached
         element = self._hash_to_g1_uncached(seed)
         if self.fast_paths:
             self.stats.h2g1_misses += 1
-            self._h2g1_cache[seed] = element
-            if len(self._h2g1_cache) > self.H2G1_CACHE_MAX:
-                self._h2g1_cache.popitem(last=False)
+            lru_put(self._h2g1_cache, seed, element, self.H2G1_CACHE_MAX)
         return element
 
     def _hash_to_g1_uncached(self, seed: bytes) -> GroupElement:
@@ -608,33 +673,22 @@ class BN254Group(BilinearGroup):
                 return GroupElement(self, G1, PointG1((x, y)))
             counter += 1
 
-    def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.kind != G1 or b.kind != G2:
-            raise GroupMismatchError("pair() expects (G1, G2)")
+    def _lines(self, b: GroupElement) -> "_pairing.PreparedG2":
+        """Prepared lines of a G2 element, through the line cache."""
         if not self.fast_paths:
-            self.stats.pairings += 1
-            return GroupElement(self, GT, _pairing.pairing(a.value, b.value))
-        key = a.value.to_bytes() + b.value.to_bytes()
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self._pair_cache.move_to_end(key)
-            self.stats.pair_cache_hits += 1
-            return cached
-        self.stats.pairings += 1
-        out = GroupElement(self, GT, _pairing.pairing(a.value, b.value))
-        self._pair_cache[key] = out
-        if len(self._pair_cache) > self.PAIR_CACHE_MAX:
-            self._pair_cache.popitem(last=False)
-        return out
+            return _pairing.prepare_g2(b.value)
+        key = b.value.to_bytes()
+        lines = lru_get(self._line_cache, key)
+        if lines is None:
+            lines = _pairing.prepare_g2(b.value)
+            lru_put(self._line_cache, key, lines, self.LINE_CACHE_MAX)
+        return lines
 
-    def multi_pair(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> GroupElement:
-        pairs = list(pairs)
-        for a, b in pairs:
-            if a.kind != G1 or b.kind != G2:
-                raise GroupMismatchError("multi_pair() expects (G1, G2) pairs")
-        self.stats.pairings += len(pairs)
-        value = _pairing.multi_pairing((a.value, b.value) for a, b in pairs)
-        return GroupElement(self, GT, value)
+    def _pair_product(self, pairs: list) -> GroupElement:
+        # Through the module, so instrumentation that wraps the two
+        # pairing stages sees every pass.
+        f = _pairing.miller_loop([(a.value, self._lines(b)) for a, b in pairs])
+        return GroupElement(self, GT, _pairing.final_exponentiation(f))
 
 
 _DEFAULT_BN254: BN254Group | None = None

@@ -1,16 +1,29 @@
 """Optimal-ate pairing on BN254.
 
 ``pairing(P, Q)`` maps ``(P in G1, Q in G2) -> GT`` (an Fp12 element of the
-order-r cyclotomic subgroup).  The Miller loop runs over the twist E'(Fp2)
-with affine line functions; each line evaluates at the G1 argument into a
-sparse Fp12 element multiplied in with
-:func:`repro.crypto.tower.fp12_mul_line`.
+order-r cyclotomic subgroup).  The Miller loop is split in two halves
+(Enge & Milan, *Implementing cryptographic pairings at standard security
+levels*, precompute what depends only on a fixed argument):
+
+* :func:`prepare_g2` runs the G2 side once per point: the affine
+  doubling/addition steps over the twist E'(Fp2) and, for each step, the
+  line's slope ``lam`` and ``lam*xT - yT``.  The result depends on Q
+  alone, so callers cache it for recurring G2 arguments
+  (:class:`repro.crypto.group.BN254Group` keeps an LRU of them).  The
+  102 lines are packed into one 13 KB bytes object; as tuples of ints
+  they would take 33 KB in hundreds of small allocations.
+* :func:`miller_loop` evaluates prepared lines at G1 points.  It takes
+  any number of pairs and runs one loop for all of them: ``f`` is squared
+  once per step and then multiplied by every pair's line, so a k-pair
+  product costs one set of squarings and one final exponentiation.
 
 Line derivation (D-twist, untwist ``(x', y') -> (x' w^2, y' w^3)``): a line
 through untwisted points with slope ``lam*w`` evaluated at ``P = (xP, yP)``
-is ``yP - lam*xP*w + (lam*xT - yT)*w^3`` and ``w^3 = v*w``, i.e. the sparse
-element ``a + b*w + c*(v*w)`` with ``a = yP``, ``b = -lam*xP``,
-``c = lam*xT - yT``.
+is ``yP - lam*xP*w + (lam*xT - yT)*w^3`` and ``w^3 = v*w``.  The loop
+scales each line by ``1/yP``, an Fp factor the final exponentiation
+removes (``p - 1`` divides ``(p^12 - 1)/r``), which leaves the sparse
+element ``1 + b*w + c*(v*w)`` with ``b = -lam*xP/yP`` and
+``c = (lam*xT - yT)/yP`` for :func:`repro.crypto.tower.fp12_mul_line`.
 
 Final exponentiation uses the easy part plus the Devegili et al. hard-part
 addition chain; a direct-exponentiation fallback
@@ -19,8 +32,16 @@ addition chain; a direct-exponentiation fallback
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.crypto.curve import PointG1, PointG2
-from repro.crypto.field import ATE_LOOP_COUNT, BN_U, CURVE_ORDER, FIELD_MODULUS as P
+from repro.crypto.field import (
+    ATE_LOOP_COUNT,
+    BN_U,
+    CURVE_ORDER,
+    FIELD_MODULUS as P,
+    fp_inv,
+)
 from repro.crypto.tower import (
     FP12_ONE,
     fp12_cyclotomic_pow,
@@ -47,10 +68,26 @@ from repro.crypto.tower import (
 )
 from repro.errors import CryptoError
 
+#: Prepared G2 argument: for each line of the loop, ``lam0, lam1, c0, c1``
+#: as 32-byte big-endian integers, ``lam`` the slope and
+#: ``c = lam*xT - yT`` (both Fp2).  Empty for the identity.
+PreparedG2 = bytes
+_COORD_BYTES = 32  # so a line is one 1024-bit int: lam0 | lam1 | c0 | c1
+_LINE_BYTES = 4 * _COORD_BYTES
+_MASK = (1 << 256) - 1
+
 # Frobenius twist constants for points on E'(Fp2):
 #   pi(x, y) = (conj(x) * XI^((p-1)/3), conj(y) * XI^((p-1)/2))
 _TWIST_X_COEFF: Fp2 = GAMMA[1]  # XI^((p-1)/3)
 _TWIST_Y_COEFF: Fp2 = GAMMA[2]  # XI^((p-1)/2)
+
+_BITS = bin(ATE_LOOP_COUNT)[3:]  # skip the MSB
+
+#: The loop's shape, the same for every G2 point: per step, whether ``f``
+#: is squared first and how many lines follow.  A doubling step squares
+#: and takes the tangent, plus the chord through Q on a set bit; the last
+#: step takes the chords through pi(Q) and -pi^2(Q) without squaring.
+_SCHEDULE = tuple((True, 2 if bit == "1" else 1) for bit in _BITS) + ((False, 2),)
 
 
 def _g2_frobenius(xy):
@@ -61,71 +98,74 @@ def _g2_frobenius(xy):
     )
 
 
-def _line_double(t, p_aff):
-    """Line for doubling T; returns (line coeffs, 2T).
+def _step(t, q):
+    """The line through T and Q (the tangent when Q = T), and T + Q.
 
-    ``t`` is affine over Fp2; ``p_aff = (xp, yp)`` are plain Fp ints.
+    Affine over Fp2; returns ``((lam0, lam1, c0, c1), T + Q)``.
     """
     (xt, yt) = t
-    (xp, yp) = p_aff
-    lam = fp2_mul(
-        fp2_mul_scalar(fp2_sq(xt), 3),
-        fp2_inv(fp2_add(yt, yt)),
-    )
-    x3 = fp2_sub(fp2_sq(lam), fp2_add(xt, xt))
-    y3 = fp2_sub(fp2_mul(lam, fp2_sub(xt, x3)), yt)
-    a = yp
-    b = fp2_neg(fp2_mul_scalar(lam, xp))
-    c = fp2_sub(fp2_mul(lam, xt), yt)
-    return (a, b, c), (x3, y3)
-
-
-def _line_add(t, q, p_aff):
-    """Line through T and Q; returns (line coeffs, T+Q). Affine over Fp2."""
-    (xt, yt) = t
     (xq, yq) = q
-    (xp, yp) = p_aff
     if xt == xq:
-        if yt == yq:
-            return _line_double(t, p_aff)
-        # vertical line x = xt: evaluates to xP - xt*w^2; a vertical through
-        # T and -T never occurs in the optimal-ate loop for subgroup points,
-        # but handle it for robustness.
-        raise CryptoError("degenerate vertical line in Miller loop")
-    lam = fp2_mul(fp2_sub(yq, yt), fp2_inv(fp2_sub(xq, xt)))
+        if yt != yq:
+            # A vertical line through T and -T never occurs in the
+            # optimal-ate loop for subgroup points.
+            raise CryptoError("degenerate vertical line in Miller loop")
+        lam = fp2_mul(fp2_mul_scalar(fp2_sq(xt), 3), fp2_inv(fp2_add(yt, yt)))
+    else:
+        lam = fp2_mul(fp2_sub(yq, yt), fp2_inv(fp2_sub(xq, xt)))
     x3 = fp2_sub(fp2_sub(fp2_sq(lam), xt), xq)
     y3 = fp2_sub(fp2_mul(lam, fp2_sub(xt, x3)), yt)
-    a = yp
-    b = fp2_neg(fp2_mul_scalar(lam, xp))
     c = fp2_sub(fp2_mul(lam, xt), yt)
-    return (a, b, c), (x3, y3)
+    return (lam[0], lam[1], c[0], c[1]), (x3, y3)
 
 
-def miller_loop(p: PointG1, q: PointG2) -> Fp12:
-    """Raw Miller loop (no final exponentiation)."""
-    if p.is_identity or q.is_identity:
-        return FP12_ONE
-    p_aff = p.xy
+def prepare_g2(q: PointG2) -> PreparedG2:
+    """The G2 half of the Miller loop: every line's coefficients for Q."""
+    if q.is_identity:
+        return b""
     q_aff = q.xy
-    # Line evaluation needs the G1 y-coordinate as a plain Fp scalar and
-    # -lam*xP; we pass a = yP (Fp) through the sparse multiplier.
-    f = FP12_ONE
+    lines = []
     t = q_aff
-    bits = bin(ATE_LOOP_COUNT)[3:]  # skip MSB
-    for bit in bits:
-        (a, b, c), t = _line_double(t, p_aff)
-        f = fp12_mul_line(fp12_sq(f), a, b, c)
+    for bit in _BITS:
+        line, t = _step(t, t)
+        lines.append(line)
         if bit == "1":
-            (a, b, c), t = _line_add(t, q_aff, p_aff)
-            f = fp12_mul_line(f, a, b, c)
+            line, t = _step(t, q_aff)
+            lines.append(line)
     # Two final Frobenius-twisted additions: Q1 = pi(Q), Q2 = -pi^2(Q).
     q1 = _g2_frobenius(q_aff)
     q2 = _g2_frobenius(q1)
-    q2 = (q2[0], fp2_neg(q2[1]))
-    (a, b, c), t = _line_add(t, q1, p_aff)
-    f = fp12_mul_line(f, a, b, c)
-    (a, b, c), t = _line_add(t, q2, p_aff)
-    f = fp12_mul_line(f, a, b, c)
+    for r in (q1, (q2[0], fp2_neg(q2[1]))):
+        line, t = _step(t, r)
+        lines.append(line)
+    return b"".join(x.to_bytes(_COORD_BYTES, "big") for line in lines for x in line)
+
+
+def miller_loop(pairs: Iterable[tuple[PointG1, PreparedG2]]) -> Fp12:
+    """One Miller loop over ``(G1 point, prepared G2)`` pairs (no final
+    exponentiation); pairs with an identity argument contribute 1."""
+    evals = []
+    for p, lines in pairs:
+        if p.is_identity or not lines:
+            continue
+        xp, yp = p.xy
+        yi = fp_inv(yp)
+        evals.append((-xp * yi % P, yi, lines))
+    f = FP12_ONE
+    pos = 0
+    for square, count in _SCHEDULE:
+        if square and pos:  # squaring the initial 1 is a no-op
+            f = fp12_sq(f)
+        end = pos + count
+        for xn, yi, lines in evals:
+            # Decode each line where it is used: one int per line, split
+            # by shifts, so no unpacked copy of the lines is ever held.
+            for o in range(pos * _LINE_BYTES, end * _LINE_BYTES, _LINE_BYTES):
+                v = int.from_bytes(lines[o : o + _LINE_BYTES], "big")
+                b = ((v >> 768) * xn % P, (v >> 512 & _MASK) * xn % P)
+                c = ((v >> 256 & _MASK) * yi % P, (v & _MASK) * yi % P)
+                f = fp12_mul_line(f, b, c)
+        pos = end
     return f
 
 
@@ -169,23 +209,14 @@ def final_exponentiation(f: Fp12) -> Fp12:
 
 def pairing(p: PointG1, q: PointG2) -> Fp12:
     """Optimal-ate pairing e(P, Q) with fast final exponentiation."""
-    return final_exponentiation(miller_loop(p, q))
+    return final_exponentiation(miller_loop([(p, prepare_g2(q))]))
 
 
-def multi_pairing(pairs) -> Fp12:
-    """Product of pairings sharing one final exponentiation.
-
-    ``pairs`` is an iterable of ``(PointG1, PointG2)``.  Computing
-    ``prod e(P_i, Q_i)`` this way costs one final exponentiation total,
-    which is the dominant cost of ABS verification.
-    """
-    f = FP12_ONE
-    any_pair = False
-    for p, q in pairs:
-        if p.is_identity or q.is_identity:
-            continue
-        f = fp12_mul(f, miller_loop(p, q))
-        any_pair = True
-    if not any_pair:
+def multi_pairing(pairs: Iterable[tuple[PointG1, PointG2]]) -> Fp12:
+    """``prod e(P_i, Q_i)`` with one Miller loop and one final exponentiation."""
+    prepared = [
+        (p, prepare_g2(q)) for p, q in pairs if not (p.is_identity or q.is_identity)
+    ]
+    if not prepared:
         return FP12_ONE
-    return final_exponentiation(f)
+    return final_exponentiation(miller_loop(prepared))

@@ -76,7 +76,7 @@ def fp2_inv(a: Fp2) -> Fp2:
     norm = (a0 * a0 + a1 * a1) % P
     if norm == 0:
         raise CryptoError("inverse of zero in Fp2")
-    inv = pow(norm, P - 2, P)
+    inv = pow(norm, -1, P)
     return (a0 * inv % P, -a1 * inv % P)
 
 
@@ -121,7 +121,7 @@ def fp2_sqrt(a: Fp2) -> Fp2 | None:
     n = pow(norm, (P + 1) // 4, P)
     if n * n % P != norm:
         return None
-    inv2 = pow(2, P - 2, P)
+    inv2 = pow(2, -1, P)
     for sign in (n, -n % P):
         x2 = (a0 + sign) * inv2 % P
         x = pow(x2, (P + 1) // 4, P)
@@ -129,7 +129,7 @@ def fp2_sqrt(a: Fp2) -> Fp2 | None:
             continue
         if x == 0:
             continue
-        y = a1 * pow(2 * x % P, P - 2, P) % P
+        y = a1 * pow(2 * x % P, -1, P) % P
         cand = (x, y)
         if fp2_sq(cand) == (a0 % P, a1 % P):
             return cand
@@ -153,19 +153,37 @@ def fp6_neg(a: Fp6) -> Fp6:
 
 
 def fp6_mul(a: Fp6, b: Fp6) -> Fp6:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    t2 = fp2_mul(a2, b2)
-    # Karatsuba-style interpolation.
-    c0 = fp2_add(t0, fp2_mul_xi(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), fp2_add(t1, t2))))
-    c1 = fp2_add(
-        fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), fp2_add(t0, t1)),
-        fp2_mul_xi(t2),
-    )
-    c2 = fp2_add(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), fp2_add(t0, t2)), t1)
-    return (c0, c1, c2)
+    # The pairing's hot path, on plain ints: Karatsuba over Fp6 (six Fp2
+    # products) and over Fp2 (three multiplications each), one reduction
+    # per output coordinate.  Inputs may be unreduced (any int
+    # coordinates), which lets Fp12 callers skip reducing their sums.
+    #   c0 = v0 + XI ((a1 + a2)(b1 + b2) - v1 - v2)
+    #   c1 = (a0 + a1)(b0 + b1) - v0 - v1 + XI v2
+    #   c2 = (a0 + a2)(b0 + b2) - v0 - v2 + v1,   v_k = a_k b_k,
+    # with XI (x + y i) = (9x - y) + (x + 9y) i.
+    (a00, a01), (a10, a11), (a20, a21) = a
+    (b00, b01), (b10, b11), (b20, b21) = b
+    m0, m1 = a00 * b00, a01 * b01
+    v00, v01 = m0 - m1, (a00 + a01) * (b00 + b01) - m0 - m1
+    m0, m1 = a10 * b10, a11 * b11
+    v10, v11 = m0 - m1, (a10 + a11) * (b10 + b11) - m0 - m1
+    m0, m1 = a20 * b20, a21 * b21
+    v20, v21 = m0 - m1, (a20 + a21) * (b20 + b21) - m0 - m1
+    x0, x1, y0, y1 = a10 + a20, a11 + a21, b10 + b20, b11 + b21
+    m0, m1 = x0 * y0, x1 * y1
+    t0 = m0 - m1 - v10 - v20
+    t1 = (x0 + x1) * (y0 + y1) - m0 - m1 - v11 - v21
+    c00, c01 = v00 + 9 * t0 - t1, v01 + t0 + 9 * t1
+    x0, x1, y0, y1 = a00 + a10, a01 + a11, b00 + b10, b01 + b11
+    m0, m1 = x0 * y0, x1 * y1
+    t0 = m0 - m1 - v00 - v10
+    t1 = (x0 + x1) * (y0 + y1) - m0 - m1 - v01 - v11
+    c10, c11 = t0 + 9 * v20 - v21, t1 + v20 + 9 * v21
+    x0, x1, y0, y1 = a00 + a20, a01 + a21, b00 + b20, b01 + b21
+    m0, m1 = x0 * y0, x1 * y1
+    c20 = m0 - m1 - v00 - v20 + v10
+    c21 = (x0 + x1) * (y0 + y1) - m0 - m1 - v01 - v21 + v11
+    return ((c00 % P, c01 % P), (c10 % P, c11 % P), (c20 % P, c21 % P))
 
 
 def fp6_sq(a: Fp6) -> Fp6:
@@ -209,25 +227,59 @@ def fp12_add(a: Fp12, b: Fp12) -> Fp12:
     return (fp6_add(a[0], b[0]), fp6_add(a[1], b[1]))
 
 
+def _fp6_lazy_add(a: Fp6, b: Fp6) -> Fp6:
+    """``a + b`` left unreduced, as input for :func:`fp6_mul`."""
+    (a00, a01), (a10, a11), (a20, a21) = a
+    (b00, b01), (b10, b11), (b20, b21) = b
+    return ((a00 + b00, a01 + b01), (a10 + b10, a11 + b11), (a20 + b20, a21 + b21))
+
+
 def fp12_mul(a: Fp12, b: Fp12) -> Fp12:
+    # Karatsuba: c0 = t0 + v t1, c1 = (a0 + a1)(b0 + b1) - t0 - t1.
     a0, a1 = a
     b0, b1 = b
-    t0 = fp6_mul(a0, b0)
-    t1 = fp6_mul(a1, b1)
-    c1 = fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), fp6_add(t0, t1))
-    c0 = fp6_add(t0, fp6_mul_v(t1))
-    return (c0, c1)
+    (t00, t01), (t02, t03), (t04, t05) = fp6_mul(a0, b0)
+    (t10, t11), (t12, t13), (t14, t15) = fp6_mul(a1, b1)
+    (s0, s1), (s2, s3), (s4, s5) = fp6_mul(_fp6_lazy_add(a0, a1), _fp6_lazy_add(b0, b1))
+    return (
+        (
+            ((t00 + 9 * t14 - t15) % P, (t01 + t14 + 9 * t15) % P),
+            ((t02 + t10) % P, (t03 + t11) % P),
+            ((t04 + t12) % P, (t05 + t13) % P),
+        ),
+        (
+            ((s0 - t00 - t10) % P, (s1 - t01 - t11) % P),
+            ((s2 - t02 - t12) % P, (s3 - t03 - t13) % P),
+            ((s4 - t04 - t14) % P, (s5 - t05 - t15) % P),
+        ),
+    )
 
 
 def fp12_sq(a: Fp12) -> Fp12:
+    # Complex squaring: c0 = (a0 + a1)(a0 + v a1) - t - v t, c1 = 2t,
+    # t = a0 a1.
     a0, a1 = a
-    # complex squaring: c0 = (a0+a1)(a0+v a1) - t - v t ; c1 = 2t, t = a0 a1
-    t = fp6_mul(a0, a1)
-    c0 = fp6_sub(
-        fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_v(a1))),
-        fp6_add(t, fp6_mul_v(t)),
+    (g00, g01), (g10, g11), (g20, g21) = a0
+    (h00, h01), (h10, h11), (h20, h21) = a1
+    (t0, t1), (t2, t3), (t4, t5) = fp6_mul(a0, a1)
+    a0_plus_va1 = (
+        (g00 + 9 * h20 - h21, g01 + h20 + 9 * h21),
+        (g10 + h00, g11 + h01),
+        (g20 + h10, g21 + h11),
     )
-    return (c0, fp6_add(t, t))
+    (s0, s1), (s2, s3), (s4, s5) = fp6_mul(_fp6_lazy_add(a0, a1), a0_plus_va1)
+    return (
+        (
+            ((s0 - t0 - 9 * t4 + t5) % P, (s1 - t1 - t4 - 9 * t5) % P),
+            ((s2 - t2 - t0) % P, (s3 - t3 - t1) % P),
+            ((s4 - t4 - t2) % P, (s5 - t5 - t3) % P),
+        ),
+        (
+            (2 * t0 % P, 2 * t1 % P),
+            (2 * t2 % P, 2 * t3 % P),
+            (2 * t4 % P, 2 * t5 % P),
+        ),
+    )
 
 
 def fp12_inv(a: Fp12) -> Fp12:
@@ -259,43 +311,59 @@ def fp12_pow(a: Fp12, e: int) -> Fp12:
     return result
 
 
-def fp12_mul_line(f: Fp12, a: int, b: Fp2, c: Fp2) -> Fp12:
-    """Sparse multiplication of ``f`` by the line ``a + b*w + c*(v*w)``.
+def fp12_mul_line(f: Fp12, b: Fp2, c: Fp2) -> Fp12:
+    """Sparse multiplication of ``f`` by the line ``1 + b*w + c*(v*w)``.
 
-    ``a`` is an Fp scalar (the y-coordinate of the G1 point), ``b`` and
-    ``c`` are Fp2.  Derivation in :mod:`repro.crypto.pairing`.
+    ``b`` and ``c`` are Fp2; the Miller loop scales every line so its
+    constant term is 1.  Derivation in :mod:`repro.crypto.pairing`.
     """
-    f0, f1 = f
-    # L = (A, B) with A = (a, 0, 0), B = (b, c, 0) in Fp6 coordinates.
-    # f*L = (f0*A + f1*B*v, f0*B + f1*A)
-    u0, u1, u2 = f1
-    # f1 * B  (sparse Fp6 mult by (b, c, 0))
-    f1b = (
-        fp2_add(fp2_mul(u0, b), fp2_mul_xi(fp2_mul(u2, c))),
-        fp2_add(fp2_mul(u0, c), fp2_mul(u1, b)),
-        fp2_add(fp2_mul(u1, c), fp2_mul(u2, b)),
+    # L = (1, B) with B = (b, c, 0) in Fp6 coordinates:
+    # f*L = (f0 + f1*B*v, f0*B + f1), where
+    # f1*B = (u0 b + XI u2 c, u0 c + u1 b, u1 c + u2 b) and multiplying
+    # by v rotates it to (XI (u1 c + u2 b), u0 b + XI u2 c, u0 c + u1 b).
+    # Plain ints, one reduction per output coordinate (see fp6_mul).
+    ((g00, g01), (g10, g11), (g20, g21)), ((u00, u01), (u10, u11), (u20, u21)) = f
+    b0, b1 = b
+    c0, c1 = c
+    # x = u1 c + u2 b and y = g2 c, both needed times XI.
+    x0 = u10 * c0 - u11 * c1 + u20 * b0 - u21 * b1
+    x1 = u10 * c1 + u11 * c0 + u20 * b1 + u21 * b0
+    z0 = u20 * c0 - u21 * c1
+    z1 = u20 * c1 + u21 * c0
+    y0 = g20 * c0 - g21 * c1
+    y1 = g20 * c1 + g21 * c0
+    return (
+        (
+            ((g00 + 9 * x0 - x1) % P, (g01 + x0 + 9 * x1) % P),
+            ((g10 + u00 * b0 - u01 * b1 + 9 * z0 - z1) % P,
+             (g11 + u00 * b1 + u01 * b0 + z0 + 9 * z1) % P),
+            ((g20 + u00 * c0 - u01 * c1 + u10 * b0 - u11 * b1) % P,
+             (g21 + u00 * c1 + u01 * c0 + u10 * b1 + u11 * b0) % P),
+        ),
+        (
+            ((u00 + g00 * b0 - g01 * b1 + 9 * y0 - y1) % P,
+             (u01 + g00 * b1 + g01 * b0 + y0 + 9 * y1) % P),
+            ((u10 + g00 * c0 - g01 * c1 + g10 * b0 - g11 * b1) % P,
+             (u11 + g00 * c1 + g01 * c0 + g10 * b1 + g11 * b0) % P),
+            ((u20 + g10 * c0 - g11 * c1 + g20 * b0 - g21 * b1) % P,
+             (u21 + g10 * c1 + g11 * c0 + g20 * b1 + g21 * b0) % P),
+        ),
     )
-    g0, g1, g2 = f0
-    # f0 * B
-    f0b = (
-        fp2_add(fp2_mul(g0, b), fp2_mul_xi(fp2_mul(g2, c))),
-        fp2_add(fp2_mul(g0, c), fp2_mul(g1, b)),
-        fp2_add(fp2_mul(g1, c), fp2_mul(g2, b)),
-    )
-    f0a = (fp2_mul_scalar(g0, a), fp2_mul_scalar(g1, a), fp2_mul_scalar(g2, a))
-    f1a = (fp2_mul_scalar(u0, a), fp2_mul_scalar(u1, a), fp2_mul_scalar(u2, a))
-    c0 = fp6_add(f0a, fp6_mul_v(f1b))
-    c1 = fp6_add(f0b, f1a)
-    return (c0, c1)
 
 
-def _fp4_sq(a: Fp2, b: Fp2) -> tuple[Fp2, Fp2]:
-    """Squaring in Fp4 = Fp2[t]/(t^2 - XI): (a + b*t)^2."""
-    t0 = fp2_sq(a)
-    t1 = fp2_sq(b)
-    c0 = fp2_add(fp2_mul_xi(t1), t0)
-    c1 = fp2_sub(fp2_sub(fp2_sq(fp2_add(a, b)), t0), t1)
-    return c0, c1
+def _fp4_sq(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int, int, int]:
+    """Squaring in Fp4 = Fp2[t]/(t^2 - XI): (a + b*t)^2, unreduced.
+
+    ``(a^2 + XI b^2) + 2ab t`` with ``a = a0 + a1 i`` and ``b = b0 + b1 i``.
+    """
+    x0 = (b0 - b1) * (b0 + b1)  # b^2
+    x1 = 2 * b0 * b1
+    return (
+        (a0 - a1) * (a0 + a1) + 9 * x0 - x1,
+        2 * a0 * a1 + x0 + 9 * x1,
+        2 * (a0 * b0 - a1 * b1),
+        2 * (a0 * b1 + a1 * b0),
+    )
 
 
 def fp12_cyclotomic_sq(f: Fp12) -> Fp12:
@@ -303,22 +371,27 @@ def fp12_cyclotomic_sq(f: Fp12) -> Fp12:
 
     Elements that survive the easy part of the final exponentiation
     (f^((p^6-1)(p^2+1))) live in the cyclotomic subgroup, where squaring
-    admits this cheaper compressed form (9 Fp2 squarings instead of a
+    admits this cheaper compressed form (three Fp4 squarings instead of a
     full Fp12 squaring).  Using it outside the subgroup gives wrong
     results — callers must guarantee membership.
     """
-    (c00, c01, c02), (c10, c11, c12) = f
-    t0, t1 = _fp4_sq(c00, c11)
-    t2, t3 = _fp4_sq(c10, c02)
-    t4, t5 = _fp4_sq(c01, c12)
-    t6 = fp2_mul_xi(t5)
-    r00 = fp2_add(fp2_add(fp2_sub(t0, c00), fp2_sub(t0, c00)), t0)
-    r01 = fp2_add(fp2_add(fp2_sub(t2, c01), fp2_sub(t2, c01)), t2)
-    r02 = fp2_add(fp2_add(fp2_sub(t4, c02), fp2_sub(t4, c02)), t4)
-    r10 = fp2_add(fp2_add(fp2_add(t6, c10), fp2_add(t6, c10)), t6)
-    r11 = fp2_add(fp2_add(fp2_add(t1, c11), fp2_add(t1, c11)), t1)
-    r12 = fp2_add(fp2_add(fp2_add(t3, c12), fp2_add(t3, c12)), t3)
-    return ((r00, r01, r02), (r10, r11, r12))
+    ((c000, c001), (c010, c011), (c020, c021)), ((c100, c101), (c110, c111), (c120, c121)) = f
+    t00, t01, t10, t11 = _fp4_sq(c000, c001, c110, c111)
+    t20, t21, t30, t31 = _fp4_sq(c100, c101, c020, c021)
+    t40, t41, t50, t51 = _fp4_sq(c010, c011, c120, c121)
+    t60, t61 = 9 * t50 - t51, t50 + 9 * t51  # XI * t5
+    return (
+        (
+            ((3 * t00 - 2 * c000) % P, (3 * t01 - 2 * c001) % P),
+            ((3 * t20 - 2 * c010) % P, (3 * t21 - 2 * c011) % P),
+            ((3 * t40 - 2 * c020) % P, (3 * t41 - 2 * c021) % P),
+        ),
+        (
+            ((3 * t60 + 2 * c100) % P, (3 * t61 + 2 * c101) % P),
+            ((3 * t10 + 2 * c110) % P, (3 * t11 + 2 * c111) % P),
+            ((3 * t30 + 2 * c120) % P, (3 * t31 + 2 * c121) % P),
+        ),
+    )
 
 
 def fp12_cyclotomic_pow(f: Fp12, e: int) -> Fp12:

@@ -328,7 +328,7 @@ def solve_linear_mod(a: list[list[int]], b: list[int], p: int) -> Optional[list[
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
+        inv = pow(aug[row][col], -1, p)
         aug[row] = [v * inv % p for v in aug[row]]
         for r in range(n_rows):
             if r != row and aug[r][col] != 0:

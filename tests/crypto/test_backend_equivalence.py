@@ -76,3 +76,33 @@ def test_same_vo_bytes(both):
 def test_same_results(both):
     (_, _, rec_s), (_, _, rec_r) = both
     assert sorted(r.value for r in rec_s) == sorted(r.value for r in rec_r) == [b"one"]
+
+
+def _nonzero(delta):
+    return {name: count for name, count in delta.items() if count}
+
+
+def _multi_pair_deltas(group):
+    a, b = group.g1 ** 3, group.g2 ** 5
+    group.pair(a, b)
+    deltas = []
+    for pairs in (
+        [(a, b), (a, b)],  # both pairs were just cached by pair()
+        [(a, b), (a ** 2, group.g2), (group.identity("G1"), b)],
+        [(group.identity("G1"), b)],
+    ):
+        before = group.stats.snapshot()
+        group.multi_pair(pairs)
+        deltas.append(_nonzero(group.stats.delta(before)))
+    return deltas
+
+
+def test_multi_pair_stats_delta_matches_between_backends():
+    sim, real = _multi_pair_deltas(simulated()), _multi_pair_deltas(bn254())
+    assert sim == real
+    # A k-pair product is one Miller-loop pass and one final
+    # exponentiation and never consults the pairing cache; a product of
+    # identity pairs runs neither.
+    assert sim[0] == {"pairings": 2, "miller_loops": 1, "final_exps": 1}
+    assert sim[1] == {"pairings": 3, "miller_loops": 1, "final_exps": 1}
+    assert sim[2] == {"pairings": 1}

@@ -8,11 +8,12 @@ merge back losslessly.  These tests pin that contract.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.crypto.fastgroup import SimulatedGroup
-from repro.crypto.group import BN254Group, GroupOpStats
+from repro.crypto.group import BN254Group, GroupOpStats, lru_get, lru_put
 from repro.errors import CryptoError
 from repro.parallel import parallel_map
 
@@ -103,6 +104,22 @@ def test_pair_cache_hit_counts_hit_not_pairing(backend_cls):
 
 
 @pytest.mark.parametrize("backend_cls", [SimulatedGroup, BN254Group])
+def test_pairing_work_counters(backend_cls):
+    group = backend_cls()
+    a, b = group.g1 ** 7, group.g2 ** 9
+    group.stats.reset()
+    group.pair(a, b)
+    assert (group.stats.miller_loops, group.stats.final_exps) == (1, 1)
+    group.pair(a, b)  # cache hit: neither stage runs
+    assert (group.stats.miller_loops, group.stats.final_exps) == (1, 1)
+    group.pair(group.identity("G1"), b)  # identity: neither stage runs
+    assert (group.stats.miller_loops, group.stats.final_exps) == (1, 1)
+    group.multi_pair([(a, b), (a ** 2, b), (a, group.g2)])
+    assert (group.stats.miller_loops, group.stats.final_exps) == (2, 2)
+    assert group.stats.pairings == 5
+
+
+@pytest.mark.parametrize("backend_cls", [SimulatedGroup, BN254Group])
 def test_pair_without_fast_paths_always_counts_pairings(backend_cls):
     group = backend_cls()
     group.fast_paths = False
@@ -187,3 +204,18 @@ def test_simulated_backend_workload_counter_trace_matches_bn254():
     assert sim.pop("combs_built") == 0
     assert real.pop("combs_built") == 1
     assert sim == real
+
+
+def test_lru_get_survives_eviction_between_lookup_and_refresh():
+    class EvictedAfterLookup(OrderedDict):
+        """Another thread evicts the key right after this thread read it."""
+
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            self.pop(key, None)
+            return value
+
+    cache = EvictedAfterLookup()
+    lru_put(cache, "k", 7, 2)
+    assert lru_get(cache, "k") == 7
+    assert lru_get(cache, "k") is None
