@@ -1,7 +1,7 @@
 """Deterministic chaos/soak drill for the replicated SP serving stack.
 
 Three replicas cold-started from the same snapshot blobs serve a
-:class:`~repro.net.cluster.ReplicatedClient` while a seeded
+:class:`~repro.net.client.ReplicatedClient` while a seeded
 :mod:`repro.net.chaos` schedule injects the failure modes an untrusted,
 overloadable deployment actually exhibits:
 
@@ -504,7 +504,7 @@ def _walk_spans(node):
 #: from the coordinator down to the process-pool relax workers.
 ACCEPTANCE_SPANS = (
     "shard.query",          # coordinator root
-    "cluster.attempt",      # per-replica wire attempt
+    "client.attempt",       # per-replica wire attempt
     "server.handle_frame",  # relayed server roots, grafted by suffix
     "sp.query",             # engine entry on the SP
     "engine.traverse",
@@ -1224,7 +1224,7 @@ def main_ingest(args) -> int:
         "failover": outcome["failover"],
         "stale_probe": outcome["stale_probe"],
         "stale_epoch_failovers": {
-            t: c.counters.wire.stale_epochs
+            t: c.counters.stale_epochs
             for t, c in outcome["clients"].items()
         },
         "slo": outcome["slo"] and outcome["slo"]["snapshot"],

@@ -71,8 +71,8 @@ class StaleEpochError(VerificationError):
     """A response carried a genuinely-signed freshness token that is too old.
 
     Distinct from forgery: the replica is *lagging* (it missed one or
-    more epoch rotations), not Byzantine.  Cluster clients treat this as
-    a degraded-replica condition — fail over and let the DO's update
+    more epoch rotations), not Byzantine.  The client treats this as a
+    degraded-replica condition — fail over and let the DO's update
     stream catch the replica up — rather than a tamper quarantine (see
     :func:`repro.net.client.is_tamper_error`).
     """
@@ -96,8 +96,9 @@ class TransportError(ReproError):
     Covers dropped or unanswerable requests, mismatched response ids
     (duplicate/replayed frames), and server-side error frames that the
     client classifies as transient.  Transport errors are the retryable
-    failure class: :class:`repro.net.client.ResilientClient` retries them
-    with backoff before giving up.
+    failure class: :class:`repro.net.client.ReplicatedClient` (and its
+    single-endpoint form ``ResilientClient``) retries them with backoff
+    and failover before giving up.
     """
 
 

@@ -11,13 +11,14 @@ zero-knowledge core — without ever weakening it:
 * :mod:`repro.net.server` — :class:`ResilientSPServer`, a frame loop
   that turns every per-request failure into a typed error frame, plus
   liveness probes (``ready`` / ``draining``) that bypass admission;
-* :mod:`repro.net.client` — :class:`ResilientClient` with bounded
-  retries, deadlines, duplicate detection, and a circuit breaker;
-* :mod:`repro.net.cluster` — :class:`ReplicatedClient`, which fans a
-  logical query over N replica endpoints with per-endpoint breakers,
-  health-ranked failover, hedged requests, and **Byzantine quarantine**
-  (an endpoint whose response fails verification is evicted as
-  ``tamper``, distinctly from ``transport`` evictions);
+* :mod:`repro.net.client` — :class:`ReplicatedClient`, the one
+  retrying client: it fans a logical query over N endpoints with
+  bounded retries, deadlines, duplicate detection, per-endpoint circuit
+  breakers, health-ranked failover, hedged requests, and **Byzantine
+  quarantine** (an endpoint whose response fails verification is
+  evicted as ``tamper``, distinctly from ``transport`` evictions).
+  :class:`ResilientClient` is the same client over one endpoint, where
+  a forged response is retried instead of quarantined;
 * :mod:`repro.net.sharding` — :class:`ShardedClient`, the
   scatter-gather coordinator over a DO-signed shard roster: each shard
   is a :class:`ReplicatedClient` over its replicas, per-shard VOs merge
@@ -58,6 +59,8 @@ from repro.net.chaos import (
 from repro.net.client import (
     CircuitBreaker,
     ClientStats,
+    Endpoint,
+    ReplicatedClient,
     ResilientClient,
     RetryPolicy,
     fetch_trace_spans,
@@ -65,7 +68,6 @@ from repro.net.client import (
     probe_endpoint,
     wire_exchange,
 )
-from repro.net.cluster import ClusterStats, Endpoint, ReplicatedClient
 from repro.net.faults import FAULT_KINDS, FaultyTransport
 from repro.net.ingest import (
     FreshnessGuard,
@@ -119,7 +121,6 @@ __all__ = [
     "parse_schedule",
     "CircuitBreaker",
     "ClientStats",
-    "ClusterStats",
     "Endpoint",
     "ReplicatedClient",
     "ResilientClient",

@@ -3,7 +3,7 @@
 ROADMAP item 2: one SP process holding the whole table is the paper's
 model, not a deployment's.  This module partitions a table across N SP
 *shards* — each shard itself a replicated set served through
-:class:`~repro.net.cluster.ReplicatedClient` — and gives the user a
+:class:`~repro.net.client.ReplicatedClient` — and gives the user a
 :class:`ShardedClient` that scatters one logical query, gathers
 per-shard VOs, and merges them into **one verifiable answer**.
 
@@ -72,8 +72,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.index.boxes import Box, Domain, Point
-from repro.net.client import RetryPolicy
-from repro.net.cluster import ReplicatedClient
+from repro.net.client import ReplicatedClient, RetryPolicy
 from repro.net.transport import Clock, Transport
 from repro.obs import ledger as _ledger
 from repro.obs import logging as _obslog
@@ -279,7 +278,7 @@ def outsource_sharded(
 class _ShardUser:
     """Per-shard verify adapter: the VO checks plus the roster's epoch pin.
 
-    Each shard's :class:`~repro.net.cluster.ReplicatedClient` verifies
+    Each shard's :class:`~repro.net.client.ReplicatedClient` verifies
     through this wrapper, so the stale/missing-token check runs *inside*
     the replica attempt: a replica serving a rolled-back epoch raises
     :class:`~repro.errors.VerificationError` mid-loop, gets
@@ -337,7 +336,7 @@ class ShardedClient:
 
     ``transports`` maps shard id -> (endpoint name -> :class:`~repro.net.
     transport.Transport`): each shard's replica set becomes its own
-    :class:`~repro.net.cluster.ReplicatedClient` with the full PR-5
+    :class:`~repro.net.client.ReplicatedClient` with the full replica
     machinery (health-ranked failover, hedging, Byzantine quarantine,
     overload backoff) scoped to that shard's budget (``shard_policy``).
 

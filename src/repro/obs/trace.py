@@ -5,7 +5,7 @@ span is active on the same thread become its children, so one query
 produces a tree::
 
     client.query
-    └─ client.attempt
+    └─ client.attempt            (one per wire attempt, tagged ``endpoint``)
        └─ server.handle_frame
           └─ sp.handle
              └─ sp.query

@@ -100,12 +100,13 @@ def test_release_probe_frees_the_half_open_slot():
 
 def test_workload_rejection_releases_half_open_probe(env):
     clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
     client = ResilientClient(
         env.user, LoopbackTransport(env.hardened.handle_frame, clock=clock),
         policy=RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
-        breaker=breaker, clock=clock, rng=random.Random(7),
+        failure_threshold=1, reset_timeout=10.0, clock=clock,
+        rng=random.Random(7),
     )
+    breaker = client.endpoints["sp"].breaker
     breaker.record_failure()  # open ...
     clock.advance(10.0)       # ... then half-open: the next call is the probe
     with pytest.raises(WorkloadError):
@@ -137,6 +138,22 @@ def test_reopen_transition_is_counted(obs_on):
     assert transitions_delta(window, "open") == 2  # unchanged by the close
 
 
+def test_half_open_counts_once_per_open_window(obs_on):
+    clock = FakeClock()
+    window = registry().window()
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
+    breaker.record_failure()
+    clock.advance(10.0)
+    for _ in range(3):             # claim, release, claim again ...
+        assert breaker.allow()
+        breaker.release_probe()
+    assert transitions_delta(window, "half-open") == 1
+    breaker.record_failure()       # re-open: a fresh window counts again
+    clock.advance(10.0)
+    assert breaker.allow()
+    assert transitions_delta(window, "half-open") == 2
+
+
 def test_refreshing_an_open_window_is_not_a_transition(obs_on):
     clock = FakeClock()
     window = registry().window()
@@ -161,7 +178,7 @@ class AlwaysFail(Transport):
 def make_failing_client(env, policy, clock):
     return ResilientClient(
         env.user, AlwaysFail(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
 
@@ -198,7 +215,7 @@ def test_no_sleep_once_deadline_is_gone(env):
     policy = RetryPolicy(max_attempts=5, base_delay=3.0, jitter=0.0, deadline=8.0)
     client = ResilientClient(
         env.user, SlowFail(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
     with pytest.raises(TransportError):
@@ -222,7 +239,7 @@ def test_retry_after_hint_floors_the_backoff(env):
     policy = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
     client = ResilientClient(
         env.user, OverloadedTwice(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
     with pytest.raises(OverloadedError):

@@ -11,7 +11,6 @@ from repro.net import (
     ChaosController,
     ChaosEndpoint,
     ChaosEvent,
-    CircuitBreaker,
     FakeClock,
     ReplicatedClient,
     ResilientClient,
@@ -47,7 +46,7 @@ def single_client(env, endpoint, clock, max_attempts=1):
     return ResilientClient(
         env.user, endpoint,
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(4),
     )
 

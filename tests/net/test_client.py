@@ -26,13 +26,14 @@ from repro.net import (
 from .conftest import run_query
 
 
-def make_client(env, transport, clock=None, policy=None, breaker=None, seed=1):
+def make_client(env, transport, clock=None, policy=None, failure_threshold=1000,
+                reset_timeout=30.0, seed=1):
     clock = clock or FakeClock()
     return ResilientClient(
         env.user,
         transport,
         policy=policy or RetryPolicy(max_attempts=6, base_delay=0.01),
-        breaker=breaker or CircuitBreaker(failure_threshold=1000, clock=clock),
+        failure_threshold=failure_threshold, reset_timeout=reset_timeout,
         clock=clock,
         rng=random.Random(seed),
     )
@@ -169,11 +170,11 @@ def test_breaker_opens_after_consecutive_failures_and_recovers(env):
     transport = FaultyTransport(
         loopback(env), rng=random.Random(10), rates={"drop": 1.0}, clock=clock,
     )
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=30.0, clock=clock)
     client = make_client(
-        env, transport, clock=clock, breaker=breaker,
+        env, transport, clock=clock, failure_threshold=2, reset_timeout=30.0,
         policy=RetryPolicy(max_attempts=2, base_delay=0.01),
     )
+    breaker = client.endpoints["sp"].breaker
     for _ in range(2):
         with pytest.raises(TransportError):
             run_query(client, "range")

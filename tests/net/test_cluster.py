@@ -273,7 +273,7 @@ def test_tampering_endpoint_is_quarantined_not_trusted(env):
     assert states["a-bad"].health == 0.0
     assert states["b-good"].evictions == {"tamper": 0, "transport": 0}
     assert client.counters.quarantines == 1
-    assert client.counters.wire.verification_failures == 1
+    assert client.counters.verification_failures == 1
 
 
 class TogglableTransport(Transport):
@@ -585,7 +585,7 @@ def test_stats_exposes_per_endpoint_state(env):
     assert stats["endpoints"]["a-bad"]["quarantined"] is True
     assert stats["endpoints"]["a-bad"]["evictions"]["tamper"] == 1
     assert stats["endpoints"]["b-good"]["quarantined"] is False
-    assert set(stats["counters"]["wire"]) >= {"attempts", "verification_failures"}
+    assert set(stats["counters"]) >= {"attempts", "verification_failures"}
 
 
 def test_constructor_validation(env):
@@ -595,3 +595,141 @@ def test_constructor_validation(env):
         ReplicatedClient(env.user, {"a": DeadTransport()}, quarantine_window=0.0)
     with pytest.raises(Exception):
         ReplicatedClient(env.user, {"a": DeadTransport()}, hedge_percentile=1.5)
+
+
+# -- rules that hold for any endpoint count ----------------------------------
+
+def test_wire_attempts_are_counted_across_failover(env):
+    clock = FakeClock()
+    client = make_cluster(
+        env, {"a-dead": DeadTransport(), "b-good": good(env, clock)}, clock,
+    )
+    assert run_query(client, "range") == env.truth["range"]
+    assert client.counters.attempts == 2
+    assert client.counters.retries == 1
+    assert client.counters.failovers == 1
+    assert client.counters.transport_errors == 1
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_tamper_quarantines_only_when_another_endpoint_exists(env, count):
+    clock = FakeClock()
+
+    class TamperOnce(Transport):
+        """Forges the first response, then relays honestly."""
+
+        def __init__(self):
+            self.forger = tamperer(env, clock)
+            self.honest = good(env, clock)
+            self.calls = 0
+
+        def round_trip(self, request_frame):
+            self.calls += 1
+            inner = self.forger if self.calls == 1 else self.honest
+            return inner.round_trip(request_frame)
+
+    transports = {"a-bad": TamperOnce()}
+    if count == 2:
+        transports["b-good"] = good(env, clock)
+    client = make_cluster(env, transports, clock)
+    assert run_query(client, "range") == env.truth["range"]
+    assert client.counters.verification_failures == 1
+    bad = client.endpoints["a-bad"]
+    if count == 1:
+        # Rule 2: nowhere to fail over to, so the lone endpoint is asked
+        # again for a fresh response, which is verified from scratch.
+        assert not bad.quarantined
+        assert bad.attempts == 2
+        assert client.counters.quarantines == 0
+    else:
+        assert bad.quarantined
+        assert bad.evictions == {"tamper": 1, "transport": 0}
+        assert client.endpoints["b-good"].attempts == 1
+
+
+def test_breaker_counts_one_failure_per_query(env):
+    clock = FakeClock()
+    dead = DeadTransport()
+    client = make_cluster(
+        env, {"a-dead": dead, "b-bad": tamperer(env, clock)}, clock,
+        policy=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
+    )
+    with pytest.raises(ReproError):
+        run_query(client, "range")
+    # Every pass tried the dead endpoint, but its breaker judges the
+    # query once (rule 1), so a threshold of 2 leaves it closed.
+    assert dead.calls == 3
+    assert client.endpoints["a-dead"].breaker.failures == 1
+    assert client.endpoints["a-dead"].breaker.state == "closed"
+    assert client.endpoints["a-dead"].health < 0.5
+
+
+def test_resting_endpoints_are_tried_when_nothing_is_eligible(env):
+    clock = FakeClock()
+    servers = {
+        name: ResilientSPServer(
+            SPServer(env.server.provider, rng=random.Random(3)),
+            max_in_flight=1, retry_after=retry_after,
+        )
+        for name, retry_after in (("a-slow", 5.0), ("b-soon", 2.0))
+    }
+    client = make_cluster(
+        env,
+        {name: LoopbackTransport(server.handle_frame, clock=clock)
+         for name, server in servers.items()},
+        clock,
+        policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
+    )
+    for server in servers.values():
+        server.set_background_load(5)
+    with pytest.raises(OverloadedError):
+        run_query(client, "range")
+    for server in servers.values():
+        server.set_background_load(0)
+    # Both endpoints are resting on their hints and none is eligible;
+    # the query still runs, on the endpoint whose hint ends first.
+    assert not any(e.eligible(clock.now()) for e in client.endpoints.values())
+    assert run_query(client, "range") == env.truth["range"]
+    assert client.endpoints["b-soon"].attempts == 2
+    assert client.endpoints["a-slow"].attempts == 1
+
+
+def test_every_endpoint_draining_raises_overloaded(env):
+    clock = FakeClock()
+    server = ResilientSPServer(SPServer(env.server.provider, rng=random.Random(3)))
+    client = make_cluster(
+        env,
+        {name: LoopbackTransport(server.handle_frame, clock=clock)
+         for name in ("sp0", "sp1")},
+        clock, failure_threshold=1,
+    )
+    for endpoint in client.endpoints.values():
+        endpoint.breaker.record_failure()
+    clock.advance(5.0)
+    server.drain()
+    with pytest.raises(OverloadedError, match="draining"):
+        run_query(client, "range")
+    assert client.counters.probe_deferrals == 2
+    assert client.counters.attempts == 0
+    # No trial was spent, so no breaker re-opened.
+    assert all(e.breaker.state == "half-open" for e in client.endpoints.values())
+
+
+def test_lone_endpoint_with_open_breaker_fails_fast(env):
+    clock = FakeClock()
+    dead = DeadTransport()
+    client = make_cluster(
+        env, {"only": dead}, clock,
+        policy=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
+        failure_threshold=1, reset_timeout=60.0,
+    )
+    with pytest.raises(TransportError):
+        run_query(client, "range")
+    assert client.endpoints["only"].breaker.state == "open"
+    before, calls = clock.now(), dead.calls
+    with pytest.raises(CircuitOpenError):
+        run_query(client, "range")
+    # Rule 3: no wait for the breaker's reset window inside the query.
+    assert clock.now() == before
+    assert dead.calls == calls
+    assert client.counters.breaker_rejections == 1

@@ -24,7 +24,6 @@ from repro.errors import (
 )
 from repro.net import (
     FAULT_KINDS,
-    CircuitBreaker,
     FakeClock,
     FaultyTransport,
     LoopbackTransport,
@@ -51,7 +50,7 @@ def make_faulty_client(env, fault, rate, seed, max_attempts=8):
         env.user,
         transport,
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01, deadline=120.0),
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock,
         rng=random.Random(seed + 1),
     )

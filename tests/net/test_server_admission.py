@@ -16,7 +16,6 @@ from repro.errors import (
 from repro.net import (
     PROBE_REQUEST,
     STATS_REQUEST,
-    CircuitBreaker,
     FakeClock,
     LoopbackTransport,
     ResilientClient,
@@ -53,7 +52,7 @@ def make_client(env, server, max_attempts=1):
     return ResilientClient(
         env.user, LoopbackTransport(server.handle_frame),
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(4),
     )
 
@@ -220,15 +219,15 @@ def test_half_open_probe_defers_during_drain_then_readmits(env):
     client = ResilientClient(
         env.user, link,
         policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
-                               clock=clock),
+        failure_threshold=1, reset_timeout=5.0,
         clock=clock, rng=random.Random(4),
     )
+    breaker = client.endpoints["sp"].breaker
     # The replica dies: breaker opens, then fails fast.
     link.down = True
     with pytest.raises(TransportError):
         run_query(client, "range")
-    assert client.breaker.state == "open"
+    assert breaker.state == "open"
     with pytest.raises(CircuitOpenError):
         run_query(client, "range")
     # It comes back — but draining.  The half-open trial probes first
@@ -236,7 +235,7 @@ def test_half_open_probe_defers_during_drain_then_readmits(env):
     link.down = False
     server.drain()
     clock.advance(5.0)
-    assert client.breaker.state == "half-open"
+    assert breaker.state == "half-open"
     with pytest.raises(OverloadedError, match="draining"):
         run_query(client, "range")
     assert client.counters.probes == 1
@@ -244,12 +243,12 @@ def test_half_open_probe_defers_during_drain_then_readmits(env):
     # Crucially the deferral did not re-open the breaker for another
     # full window: the probe slot was released without judgement, so the
     # next trial may run immediately.
-    assert client.breaker.state == "half-open"
+    assert breaker.state == "half-open"
     # After resume() the very next query probes ready, spends the real
     # half-open trial, verifies, and closes the circuit.
     server.resume()
     assert run_query(client, "range") == env.truth["range"]
-    assert client.breaker.state == "closed"
+    assert breaker.state == "closed"
     assert client.counters.probes == 2
     assert client.counters.probe_deferrals == 1
 
@@ -261,17 +260,17 @@ def test_garbled_probe_proves_nothing_and_real_query_decides(env):
         env.user,
         GarbledProbeTransport(LoopbackTransport(server.handle_frame)),
         policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
-                               clock=clock),
+        failure_threshold=1, reset_timeout=5.0,
         clock=clock, rng=random.Random(4),
     )
-    client.breaker.record_failure()  # open
+    breaker = client.endpoints["sp"].breaker
+    breaker.record_failure()  # open
     clock.advance(5.0)               # half-open
     # The probe comes back undecodable — that is *not* evidence the
     # server is down (old build, line noise, a tamperer garbling cheap
     # frames), so the real half-open query proceeds and succeeds.
     assert run_query(client, "range") == env.truth["range"]
-    assert client.breaker.state == "closed"
+    assert breaker.state == "closed"
     assert client.counters.probes == 0  # only decoded probes count
     assert client.counters.probe_deferrals == 0
 

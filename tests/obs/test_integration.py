@@ -21,7 +21,6 @@ from repro.errors import DeserializationError, TransportError
 from repro.index.boxes import Domain
 from repro.net import (
     REQUEST_ID_BYTES,
-    CircuitBreaker,
     FakeClock,
     FaultyTransport,
     LoopbackTransport,
@@ -74,7 +73,7 @@ def make_client(env, transport, max_attempts=6, seed=1):
         env.user,
         transport,
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01),
-        breaker=CircuitBreaker(failure_threshold=1000, clock=env.clock),
+        failure_threshold=1000,
         clock=env.clock,
         rng=random.Random(seed),
     )
@@ -232,9 +231,9 @@ def test_client_stats_exposes_breaker_and_registry_slice():
     stats = client.stats()
     assert stats["counters"]["requests"] == 1
     assert stats["counters"]["retries"] == 0
-    assert stats["breaker"]["state"] == "closed"
-    assert stats["breaker"]["consecutive_failures"] == 0
-    assert stats["breaker"]["failure_threshold"] == 1000
+    assert stats["endpoints"]["sp"]["breaker"] == "closed"
+    assert client.endpoints["sp"].breaker.failures == 0
+    assert client.endpoints["sp"].breaker.failure_threshold == 1000
     assert stats["registry"], "registry slice must not be empty after a query"
     assert all(k.startswith("repro_client_") for k in stats["registry"])
     assert stats["registry"]["repro_client_outcomes_total|verified"] == 1
