@@ -9,6 +9,7 @@ from repro.core.app_signature import AppAuthenticator
 from repro.core.records import Record
 from repro.core.system import DataOwner
 from repro.crypto import simulated
+from repro.policy.boolexpr import or_of_attrs
 from repro.policy.roles import RoleUniverse
 
 
@@ -33,7 +34,8 @@ def test_relax_inaccessible_record(benchmark):
     rng, universe, record, sig, auth = _fixture()
     user_roles = frozenset()
     aps = benchmark(lambda: auth.derive_record_aps(record, sig, user_roles, rng))
-    assert auth.verify_inaccessible_record(record.key, record.value_hash(), user_roles, aps)
+    super_policy = or_of_attrs(universe.missing_roles(user_roles))
+    assert auth.scheme.verify(auth.mvk, record.message(), super_policy, aps)
 
 
 def test_table2_report(benchmark):

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from repro.abs.keys import AbsVerificationKey
 from repro.abs.scheme import AbsScheme, AbsSignature
-from repro.errors import CryptoError
 from repro.policy.boolexpr import BoolExpr, or_of_attrs
 
 #: Bit length of the random batching exponents (soundness ~ 2^-64).
@@ -141,25 +140,6 @@ def batch_verify_unmerged(
         pairs.append(((~cg) ** rho2, sig.p[0]))
         pairs.append(((~sig.y) ** rho2, mvk.h))
     return grp.multi_pair(pairs).is_identity
-
-
-def batch_verify_same_predicate(
-    scheme: AbsScheme,
-    mvk: AbsVerificationKey,
-    messages: Sequence[bytes],
-    signatures: Sequence[AbsSignature],
-    missing_roles: Sequence[str],
-    rng: Optional[random.Random] = None,
-) -> bool:
-    """Convenience wrapper: many APS signatures under one super policy."""
-    if len(messages) != len(signatures):
-        raise CryptoError("messages and signatures must align")
-    attrs = tuple(missing_roles)
-    items = [
-        BatchItem(message=m, attrs=attrs, signature=s)
-        for m, s in zip(messages, signatures)
-    ]
-    return batch_verify(scheme, mvk, items, rng)
 
 
 def find_invalid(

@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.abs.keys import AbsKeyPair, AbsSigningKey, AbsVerificationKey
@@ -23,10 +24,10 @@ from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme, AbsSignature
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
-from repro.index.boxes import Box, Point
+from repro.index.boxes import Box
 from repro.obs import metrics as _metrics
 from repro.parallel import InFlightTable
-from repro.policy.boolexpr import BoolExpr, or_of_attrs
+from repro.policy.boolexpr import BoolExpr
 from repro.policy.roles import RoleUniverse
 
 _REG = _metrics.registry()
@@ -70,6 +71,10 @@ class AppAuthenticator:
         #: queries needing the same (signature, message, missing-role)
         #: derivation wait on one materialization instead of recomputing.
         self._relax_flights = InFlightTable()
+        #: User side: APS triples this authenticator has verified, so a
+        #: repeat skips the pairing product (see
+        #: :func:`repro.core.verifier.settle`).
+        self.aps_memo: OrderedDict = OrderedDict()
 
     def enable_aps_cache(self, maxsize: int = 4096) -> None:
         """Cache derived APS signatures (SP-side optimization).
@@ -82,8 +87,6 @@ class AppAuthenticator:
         holds that exact proof); derivations for *different* role sets
         never share cache entries.
         """
-        from collections import OrderedDict
-
         self._aps_cache = OrderedDict()
         self._aps_cache_max = maxsize
         self.aps_cache_hits = 0
@@ -242,38 +245,6 @@ class AppAuthenticator:
     def verify_record(self, record: Record, signature: AbsSignature) -> bool:
         """Verify an accessible record's APP signature under its policy."""
         return self.scheme.verify(self.mvk, record.message(), record.policy, signature)
-
-    def verify_inaccessible_record(
-        self,
-        key: Point,
-        value_hash: bytes,
-        user_roles,
-        aps: AbsSignature,
-        missing_roles: Sequence[str] | None = None,
-    ) -> bool:
-        """Verify an APS signature proving record inaccessibility.
-
-        The verifier rebuilds the super policy from its *own* role set (it
-        never sees the record's true policy).  ``missing_roles`` may be
-        supplied for the hierarchical optimization (Section 8.1); by
-        default it is ``A \\ A``.
-        """
-        if missing_roles is None:
-            missing_roles = self.universe.missing_roles(user_roles)
-        message = Record.message_from_hash(key, value_hash)
-        return self.scheme.verify(self.mvk, message, or_of_attrs(missing_roles), aps)
-
-    def verify_inaccessible_node(
-        self,
-        box: Box,
-        user_roles,
-        aps: AbsSignature,
-        missing_roles: Sequence[str] | None = None,
-    ) -> bool:
-        """Verify an APS signature proving a whole grid box is inaccessible."""
-        if missing_roles is None:
-            missing_roles = self.universe.missing_roles(user_roles)
-        return self.scheme.verify(self.mvk, box.to_bytes(), or_of_attrs(missing_roles), aps)
 
 
 class AppSigner(AppAuthenticator):

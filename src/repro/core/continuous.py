@@ -170,7 +170,7 @@ def verify_continuous_vo(
     query bounds (they are data-dependent intervals), so coverage is
     checked on the clipped union.
     """
-    from repro.core.verifier import _verify_entry
+    from repro.core.verifier import collect_obligations, settle
 
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     clipped = []
@@ -187,9 +187,8 @@ def verify_continuous_vo(
         cursor = part.hi[0] + 1
     if cursor != query.hi[0] + 1:
         raise CompletenessError("VO does not cover the full query interval")
-    records = []
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, None)
-        if record is not None:
-            records.append(record)
-    return records
+    accessible, items, regions = collect_obligations(
+        vo, authenticator, query, user_roles
+    )
+    settle(authenticator, items, regions)
+    return [record for _, record in accessible]

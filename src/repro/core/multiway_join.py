@@ -32,10 +32,10 @@ from typing import Optional, Sequence
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import EngineStats, materialize, traverse_multiway_join
 from repro.core.records import Record
-from repro.core.verifier import _verify_entry
-from repro.core.vo import AccessibleRecordEntry, VerificationObject
-from repro.errors import CompletenessError, SoundnessError, WorkloadError
-from repro.index.boxes import Box, boxes_cover_clipped
+from repro.core.verifier import verify_join
+from repro.core.vo import VerificationObject
+from repro.errors import WorkloadError
+from repro.index.boxes import Box
 from repro.index.gridtree import APGTree
 
 
@@ -86,45 +86,18 @@ def verify_multiway_join_vo(
 
     Soundness: all signatures valid; each driver result has exactly one
     matching result per joined table.  Completeness: driver results plus
-    all inaccessible regions tile the query range.
+    all inaccessible regions tile the query range.  The checks are
+    :func:`repro.core.verifier.verify_join`'s, shared with two-table
+    joins.
     """
     if len(table_names) < 2:
         raise WorkloadError("multi-way join needs at least two tables")
-    user_roles = authenticator.universe.validate_user_roles(user_roles)
-    driver = table_names[0]
-    access: dict[str, dict] = {name: {} for name in table_names}
-    coverage: list[Box] = []
-    for entry in vo:
-        if isinstance(entry, AccessibleRecordEntry):
-            if entry.table not in access:
-                raise SoundnessError(f"unexpected table tag {entry.table!r}")
-            bucket = access[entry.table]
-            if entry.key in bucket:
-                raise SoundnessError(
-                    f"duplicate result for key {entry.key} in {entry.table}"
-                )
-            bucket[entry.key] = entry
-            if entry.table == driver:
-                coverage.append(entry.region)
-        else:
-            coverage.append(entry.region)
-    driver_keys = set(access[driver])
-    for name in table_names[1:]:
-        if set(access[name]) != driver_keys:
-            raise SoundnessError(f"results of table {name!r} do not pair with the driver")
-    if not boxes_cover_clipped(coverage, query):
-        raise CompletenessError("multi-way join VO does not tile the query range")
-    verified: dict[tuple[str, tuple], Record] = {}
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, missing_roles)
-        if record is not None:
-            verified[(entry.table, entry.key)] = record
-    results = []
-    for key in sorted(driver_keys):
-        results.append(
-            MultiJoinResult(
-                key=key,
-                records=tuple(verified[(name, key)] for name in table_names),
-            )
+    join_keys, records = verify_join(
+        vo, authenticator, query, user_roles, table_names, missing_roles
+    )
+    return [
+        MultiJoinResult(
+            key=key, records=tuple(records[(name, key)] for name in table_names)
         )
-    return results
+        for key in join_keys
+    ]

@@ -59,6 +59,9 @@ _FP2_OPS = FieldOps(
 #: b coefficient of the twist: 3 / XI in Fp2.
 TWIST_B = tower.fp2_mul(tower.fp2_mul_scalar(tower.FP2_ONE, 3), tower.fp2_inv(tower.XI))
 
+#: ``p - r = 6u^2``: psi acts on G2 as multiplication by this scalar.
+_PSI_SCALAR = P - CURVE_ORDER
+
 #: Lazily-bound GLV multiplier for G1 (set on first PointG1 scalar mult).
 _glv_mul = None
 
@@ -540,15 +543,16 @@ class _Point:
         x, y = self.xy
         return ops.sq(y) == ops.add(ops.mul(ops.sq(x), x), self._b)
 
-    def in_subgroup(self) -> bool:
-        return (self * CURVE_ORDER).is_identity
-
 
 class PointG1(_Point):
     """Point of G1 = E(Fp)."""
 
     _ops = _FP_OPS
     _b = 3
+
+    def in_subgroup(self) -> bool:
+        """G1 has cofactor 1: every curve point is in the order-r group."""
+        return self.is_on_curve()
 
     def __mul__(self, k: int):
         # G1 uses GLV decomposition (j = 0 endomorphism) — ~1.5x faster
@@ -629,6 +633,26 @@ class PointG2(_Point):
         if y[0] & 1 != parity:
             y = tower.fp2_neg(y)
         return cls((x, y))
+
+    def in_subgroup(self) -> bool:
+        """Order-r subgroup membership: ``psi(Q) == [6u^2]Q``.
+
+        The untwist-Frobenius-twist map psi acts on G2 as ``[p]``, and
+        ``p = r + 6u^2``; on BN curves the converse holds too, so the
+        test costs one 127-bit scalar multiplication instead of the
+        254-bit ``[r]Q`` (Scott, ePrint 2021/1130).  The scalar stays
+        unreduced: ``__mul__`` reduces mod r, which is only sound for
+        points already known to lie in G2.
+        """
+        if self.xy is None:
+            return True
+        if not self.is_on_curve():
+            return False
+        from repro.crypto.pairing import _g2_frobenius
+
+        ops = self._ops
+        scaled = _jac_to_affine(_jac_scalar_mul(self.xy, _PSI_SCALAR, ops), ops)
+        return scaled == _g2_frobenius(self.xy)
 
     def clear_cofactor(self) -> "PointG2":
         """Map a twist point into the order-r subgroup."""

@@ -640,7 +640,9 @@ class ReplicatedClient:
         if verification_window is not None:
             from repro.net.window import VerificationWindow
 
-            self.window = VerificationWindow(user, verification_window, rng=self.rng)
+            # No rng: the batching exponents must not come from the
+            # seedable jitter PRNG.
+            self.window = VerificationWindow(user, verification_window)
 
     def _verify_vo(self):
         """Per-response verifier for equality/range: windowed when opted in."""

@@ -7,7 +7,6 @@ import pytest
 from repro.abs.batch import (
     BatchItem,
     batch_verify,
-    batch_verify_same_predicate,
     batch_verify_unmerged,
     find_invalid,
     verify_or_find_invalid,
@@ -15,7 +14,6 @@ from repro.abs.batch import (
 from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme, AbsSignature
 from repro.crypto import bn254, simulated
-from repro.errors import CryptoError
 from repro.policy.boolexpr import parse_policy
 
 ROLES = ["R0", "R1", "R2", "R3"]
@@ -96,13 +94,19 @@ def test_identity_y_rejects(env):
     )
 
 
-def test_same_predicate_wrapper(env):
+def test_same_predicate_batch(env):
+    """Many APS signatures under one super policy, as a VO carries them:
+    the batch accepts them aligned and rejects them misaligned."""
     rng, scheme, keys, items, missing = env
     messages = [item.message for item in items]
     sigs = [item.signature for item in items]
-    assert batch_verify_same_predicate(scheme, keys.mvk, messages, sigs, list(missing), rng)
-    with pytest.raises(CryptoError):
-        batch_verify_same_predicate(scheme, keys.mvk, messages[:-1], sigs, list(missing), rng)
+    aligned = [BatchItem(message=m, attrs=missing, signature=s) for m, s in zip(messages, sigs)]
+    assert batch_verify(scheme, keys.mvk, aligned, rng)
+    shifted = [
+        BatchItem(message=m, attrs=missing, signature=s)
+        for m, s in zip(messages, sigs[1:] + sigs[:1])
+    ]
+    assert not batch_verify(scheme, keys.mvk, shifted, rng)
 
 
 def test_verify_or_find_invalid_localizes_failures(env):

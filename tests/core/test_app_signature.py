@@ -13,6 +13,8 @@ from repro.index.boxes import Box
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
+from tests.core.verifier_oracle import verify_inaccessible_node, verify_inaccessible_record
+
 
 @pytest.fixture(scope="module")
 def env():
@@ -59,12 +61,12 @@ def test_aps_derivation_and_verification(env):
     sig = signer.sign_record(record, rng)
     user_roles = {"RoleB"}  # policy unsatisfied
     aps = auth.derive_record_aps(record, sig, user_roles, rng)
-    assert auth.verify_inaccessible_record(
-        record.key, record.value_hash(), user_roles, aps
+    assert verify_inaccessible_record(
+        auth, record.key, record.value_hash(), user_roles, aps
     )
     # APS is user-specific: another user's role set fails verification.
-    assert not auth.verify_inaccessible_record(
-        record.key, record.value_hash(), {"RoleC"}, aps
+    assert not verify_inaccessible_record(
+        auth, record.key, record.value_hash(), {"RoleC"}, aps
     )
 
 
@@ -83,9 +85,9 @@ def test_node_signature_and_aps(env):
     sig = signer.sign_node(box, policy, rng)
     user_roles = {"RoleB"}
     aps = auth.derive_node_aps(box, policy, sig, user_roles, rng)
-    assert auth.verify_inaccessible_node(box, user_roles, aps)
+    assert verify_inaccessible_node(auth, box, user_roles, aps)
     # Bound to the exact box.
-    assert not auth.verify_inaccessible_node(Box((0, 0), (3, 4)), user_roles, aps)
+    assert not verify_inaccessible_node(auth, Box((0, 0), (3, 4)), user_roles, aps)
 
 
 def test_aps_with_custom_missing_roles(env):
@@ -95,12 +97,12 @@ def test_aps_with_custom_missing_roles(env):
     sig = signer.sign_record(record, rng)
     reduced = [r for r in universe.missing_roles({"RoleB"}) if r != "RoleC"]
     aps = auth.derive_aps(sig, record.message(), record.policy, reduced, rng)
-    assert auth.verify_inaccessible_record(
-        record.key, record.value_hash(), {"RoleB"}, aps, missing_roles=reduced
+    assert verify_inaccessible_record(
+        auth, record.key, record.value_hash(), {"RoleB"}, aps, missing_roles=reduced
     )
     # Default (full) super policy fails against the reduced APS.
-    assert not auth.verify_inaccessible_record(
-        record.key, record.value_hash(), {"RoleB"}, aps
+    assert not verify_inaccessible_record(
+        auth, record.key, record.value_hash(), {"RoleB"}, aps
     )
 
 

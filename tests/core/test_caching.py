@@ -12,6 +12,8 @@ from repro.policy.boolexpr import parse_policy
 from repro.policy.compiler import Msp, get_msp, msp_cache_info
 from repro.policy.roles import RoleUniverse
 
+from tests.core.verifier_oracle import verify_inaccessible_record
+
 
 def test_get_msp_returns_shared_instance():
     order = 101
@@ -61,7 +63,7 @@ def test_aps_cache_hit_returns_identical_signature(aps_env):
     assert first == second  # served from cache
     assert auth.aps_cache_hits == 1
     assert auth.aps_cache_misses == 1
-    assert auth.verify_inaccessible_record(record.key, record.value_hash(), roles, second)
+    assert verify_inaccessible_record(auth, record.key, record.value_hash(), roles, second)
 
 
 def test_aps_cache_distinguishes_role_sets(aps_env):
@@ -90,42 +92,3 @@ def test_aps_cache_eviction(aps_env):
     auth.derive_record_aps(record, sig, frozenset({"RoleB"}), rng)
     assert auth.aps_cache_hits == 0
     assert auth.aps_cache_misses == 3
-
-
-def test_verify_vo_batched_matches_naive():
-    """The batched VO verifier accepts/extracts exactly like the naive one
-    and pinpoints tampered entries."""
-    import random
-
-    from repro.core.range_query import clip_query, range_vo
-    from repro.core.records import Dataset, Record
-    from repro.core.verifier import verify_vo, verify_vo_batched
-    from repro.core.vo import InaccessibleRecordEntry, VerificationObject
-    from repro.errors import SoundnessError
-    from repro.index.boxes import Domain
-
-    rng = random.Random(1717)
-    universe = RoleUniverse(["RoleA", "RoleB"])
-    owner = DataOwner(simulated(), universe, rng=rng)
-    ds = Dataset(Domain.of((0, 15)))
-    for key in range(0, 16, 2):
-        ds.add(Record((key,), b"r%d" % key,
-                      parse_policy("RoleA" if key % 4 == 0 else "RoleB")))
-    tree = owner.build_tree(ds)
-    auth = AppAuthenticator(simulated(), universe, owner.mvk)
-    roles = frozenset({"RoleA"})
-    query = clip_query(tree, (0,), (15,))
-    vo = range_vo(tree, auth, query, roles, rng)
-    naive = sorted(r.value for r in verify_vo(vo, auth, query, roles))
-    batched = sorted(r.value for r in verify_vo_batched(vo, auth, query, roles, rng=rng))
-    assert naive == batched
-    # Tamper with one APS payload: the batch fails and the entry is named.
-    entries = []
-    for e in vo:
-        if isinstance(e, InaccessibleRecordEntry):
-            e = InaccessibleRecordEntry(key=e.key, value_hash=b"\x00" * 32, aps=e.aps)
-        entries.append(e)
-    import pytest as _pytest
-
-    with _pytest.raises(SoundnessError):
-        verify_vo_batched(VerificationObject(entries=entries), auth, query, roles, rng=rng)

@@ -16,6 +16,8 @@ from repro.index.boxes import Box, Domain
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
+from tests.core.verifier_oracle import verify_inaccessible_record
+
 
 @pytest.fixture(scope="module")
 def env():
@@ -90,9 +92,9 @@ def test_aps_super_policy_depends_on_requesting_user(env):
     rng, tree, auth = env
     vo = equality_vo(tree, auth, (9,), {"RoleA"}, rng)
     entry = vo.entries[0]
-    assert auth.verify_inaccessible_record(
-        entry.key, entry.value_hash, {"RoleA"}, entry.aps
+    assert verify_inaccessible_record(
+        auth, entry.key, entry.value_hash, {"RoleA"}, entry.aps
     )
-    assert not auth.verify_inaccessible_record(
-        entry.key, entry.value_hash, {"RoleB"}, entry.aps
+    assert not verify_inaccessible_record(
+        auth, entry.key, entry.value_hash, {"RoleB"}, entry.aps
     )
