@@ -1,5 +1,6 @@
 """Tests for the inequality (band) join extension."""
 
+import dataclasses
 import random
 
 import pytest
@@ -126,3 +127,36 @@ def test_requires_1d_shared_domain(env):
     other2d = owner.build_tree(Dataset(Domain.of((0, 3), (0, 3))))
     with pytest.raises(WorkloadError):
         inequality_join_vo(other2d, other2d, auth, Box((0, 0), (3, 3)), {"RoleA"}, rng)
+
+
+def _aps_count(vo):
+    return sum(1 for entry in vo if hasattr(entry, "aps"))
+
+
+def test_both_sides_settle_in_one_product(env):
+    rng, domain, table_r, table_s, tree_r, tree_s, auth = env
+    roles = frozenset({"RoleA"})
+    bundle = inequality_join_vo(tree_r, tree_s, auth, Box((0,), (31,)), roles, rng)
+    assert bundle.s_vo is not None
+    assert _aps_count(bundle.r_vo) and _aps_count(bundle.s_vo)
+    fresh = AppAuthenticator(auth.group, auth.universe, auth.mvk)
+    before = fresh.group.stats.snapshot()
+    verify_inequality_join_vo(bundle, fresh, domain, roles)
+    ops = fresh.group.stats.delta(before)
+    assert ops["miller_loops"] == 1
+    assert ops["final_exps"] == 1
+
+
+def test_swapped_s_side_aps_rejected(env):
+    rng, domain, table_r, table_s, tree_r, tree_s, auth = env
+    roles = frozenset({"RoleA"})
+    bundle = inequality_join_vo(tree_r, tree_s, auth, Box((0,), (31,)), roles, rng)
+    entries = bundle.s_vo.entries
+    i, j = [k for k, entry in enumerate(entries) if hasattr(entry, "aps")][:2]
+    entries[i], entries[j] = (
+        dataclasses.replace(entries[i], aps=entries[j].aps),
+        dataclasses.replace(entries[j], aps=entries[i].aps),
+    )
+    with pytest.raises(SoundnessError, match="APS signature invalid for") as excinfo:
+        verify_inequality_join_vo(bundle, auth, domain, roles)
+    assert str(entries[i].region) in str(excinfo.value)

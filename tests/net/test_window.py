@@ -94,7 +94,7 @@ def test_joins_bypass_the_window(env):
 def test_tampered_aps_caught_and_attributed(env):
     """Flush blames the forged response; its window-mates stay unnamed."""
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=10, rng=random.Random(9))
+    window = VerificationWindow(env.user, size=10)
     clean = provider.range_query("docs", (0,), (15,), USER_ROLES,
                                  rng=random.Random(21))
     window.verify(clean)
@@ -114,9 +114,33 @@ def test_tampered_aps_caught_and_attributed(env):
     assert window.pending == 0  # the failed window is drained, not stuck
 
 
+def test_every_forged_response_attributed(env):
+    """Two forged responses in one window: the flush names both, in order."""
+    provider = env.server.provider
+    window = VerificationWindow(env.user, size=10)
+    queries = [((0,), (15,), 26), ((16,), (31,), 27),
+               ((0,), (15,), 28), ((16,), (31,), 29)]
+    for number, (low, high, seed) in enumerate(queries, start=1):
+        response = provider.range_query("docs", low, high, USER_ROLES,
+                                        rng=random.Random(seed))
+        if number in (2, 4):
+            idxs = _inaccessible_indexes(response.vo)
+            assert len(idxs) >= 2, "fixture must yield >=2 deferred APS checks"
+            _swap_aps(response.vo, idxs[0], idxs[1])
+        window.verify(response)
+    with pytest.raises(SoundnessError) as excinfo:
+        window.flush()
+    message = str(excinfo.value)
+    assert "response #1" not in message
+    assert "response #3" not in message
+    assert 0 <= message.index("response #2") < message.index("response #4")
+    assert window.failures == 1
+    assert window.pending == 0
+
+
 def test_tamper_caught_on_auto_flush_too(env):
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=2, rng=random.Random(13))
+    window = VerificationWindow(env.user, size=2)
     tampered = provider.range_query("docs", (0,), (15,), USER_ROLES,
                                     rng=random.Random(23))
     idxs = _inaccessible_indexes(tampered.vo)
@@ -131,7 +155,7 @@ def test_tamper_caught_on_auto_flush_too(env):
 def test_structural_tamper_still_fails_eagerly(env):
     """Completeness violations are not deferrable."""
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=5, rng=random.Random(17))
+    window = VerificationWindow(env.user, size=5)
     resp = provider.range_query("docs", (0,), (31,), USER_ROLES,
                                 rng=random.Random(25))
     resp.vo.entries.pop()  # break the tiling
