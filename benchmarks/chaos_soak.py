@@ -156,6 +156,60 @@ def slo_outcome(monitor):
         "budget_ok": monitor.budget_remaining("query_availability") > 0.0,
     }
 
+
+class DrillTicker:
+    """The per-query bookkeeping every drill shares: fire the chaos
+    events that are due (echoed with ``--verbose``) before a query, then
+    score the query against the SLO monitor and note whether the latency
+    burn rate flipped above 1.0."""
+
+    def __init__(self, controller, clock, verbose: bool):
+        self.controller = controller
+        self.clock = clock
+        self.verbose = verbose
+        self.monitor = build_slo_monitor(clock)
+        self.slo_flipped = False
+
+    def tick(self) -> None:
+        for event in self.controller.tick():
+            if self.verbose:
+                print(f"  [t={self.clock.now():5.1f}] chaos: {event.action} "
+                      f"{event.target} {dict(event.params)}")
+
+    def record(self, ok: bool, started: float) -> None:
+        if self.monitor is None:
+            return
+        # Latency in *virtual* seconds: only retry/backoff sleeps move the
+        # FakeClock inside a query, so the latency SLO goes bad exactly
+        # when shed frames force retry-after waits.
+        self.monitor.record(ok=ok, latency=self.clock.now() - started)
+        if self.monitor.burn_rate("query_latency", SLO_WINDOWS[0]) > 1.0:
+            self.slo_flipped = True
+
+
+def run_checked(args, run, check):
+    """Run one drill and check its invariants (plus the scrape lint when
+    asked): returns ``(outcome, violations, wall seconds)``."""
+    wall_start = time.perf_counter()
+    outcome = run(args.seed, args.backend, args.queries, args.verbose)
+    violations = check(outcome)
+    if args.scrape_lint:
+        violations.extend(scrape_lint(outcome["endpoints"]))
+    return outcome, violations, time.perf_counter() - wall_start
+
+
+def conclude(summary: dict, violations: list, ok_message: str) -> int:
+    """Print the JSON summary, then every violation (exit status 1) or
+    the one-line OK verdict (exit status 0)."""
+    print(json.dumps(summary, indent=2))
+    if violations:
+        for violation in violations:
+            print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
+        return 1
+    print(ok_message)
+    return 0
+
+
 #: The drill script (virtual seconds).  sp2 is Byzantine for the whole
 #: run; sp0 crash/restarts once; the overload burst hits every replica.
 SCHEDULE = """
@@ -217,18 +271,14 @@ def run_drill(seed: int, backend: str, queries: int, verbose: bool):
     controller = ChaosController(
         parse_schedule(SCHEDULE), endpoints, clock=clock,
     )
-    monitor = build_slo_monitor(clock)
+    ticker = DrillTicker(controller, clock, verbose)
     duration = 60.0  # virtual seconds; events live in [0, 48]
     step = duration / queries
 
     issued = verified = wrong = 0
     failures = []
-    slo_flipped = False
     for i in range(queries):
-        for event in controller.tick():
-            if verbose:
-                print(f"  [t={clock.now():5.1f}] chaos: {event.action} "
-                      f"{event.target} {dict(event.params)}")
+        ticker.tick()
         issued += 1
         query_t0 = clock.now()
         ok = False
@@ -242,15 +292,9 @@ def run_drill(seed: int, backend: str, queries: int, verbose: bool):
                 verified += 1
             else:
                 wrong += 1
-        if monitor is not None:
-            # Latency in *virtual* seconds: only retry/backoff sleeps move
-            # the FakeClock inside a query, so the latency SLO goes bad
-            # exactly when shed frames force retry-after waits.
-            monitor.record(ok=ok, latency=clock.now() - query_t0)
-            if monitor.burn_rate("query_latency", SLO_WINDOWS[0]) > 1.0:
-                slo_flipped = True
+        ticker.record(ok, query_t0)
         clock.advance(step)
-    slo = slo_outcome(monitor)
+    slo = slo_outcome(ticker.monitor)
     # Flush any events scheduled after the last query tick.
     clock.advance(duration)
     controller.tick()
@@ -262,7 +306,7 @@ def run_drill(seed: int, backend: str, queries: int, verbose: bool):
         "wrong": wrong,
         "failures": failures,
         "slo": slo,
-        "slo_flipped": slo_flipped,
+        "slo_flipped": ticker.slo_flipped,
     }
 
 
@@ -633,19 +677,15 @@ def run_sharded_drill(seed: int, backend: str, queries: int, verbose: bool):
         parse_schedule(SHARDED_SCHEDULE), endpoints, clock=clock,
         groups=groups,
     )
-    monitor = build_slo_monitor(clock)
+    ticker = DrillTicker(controller, clock, verbose)
     duration = 60.0  # virtual seconds; events live in [0, 46]
     step = duration / queries
 
     issued = complete = partial = wrong = 0
     failures = []
     partial_shards = set()
-    slo_flipped = False
     for i in range(queries):
-        for event in controller.tick():
-            if verbose:
-                print(f"  [t={clock.now():5.1f}] chaos: {event.action} "
-                      f"{event.target} {dict(event.params)}")
+        ticker.tick()
         issued += 1
         query_t0 = clock.now()
         ok = False
@@ -670,12 +710,9 @@ def run_sharded_drill(seed: int, backend: str, queries: int, verbose: bool):
                 complete += 1
             else:
                 wrong += 1
-        if monitor is not None:
-            monitor.record(ok=ok, latency=clock.now() - query_t0)
-            if monitor.burn_rate("query_latency", SLO_WINDOWS[0]) > 1.0:
-                slo_flipped = True
+        ticker.record(ok, query_t0)
         clock.advance(step)
-    slo = slo_outcome(monitor)
+    slo = slo_outcome(ticker.monitor)
     clock.advance(duration)
     controller.tick()
     acceptance, acceptance_violations = traced_acceptance(client, endpoints)
@@ -691,7 +728,7 @@ def run_sharded_drill(seed: int, backend: str, queries: int, verbose: bool):
         "partial_shards": partial_shards,
         "subdrills": subdrills,
         "slo": slo,
-        "slo_flipped": slo_flipped,
+        "slo_flipped": ticker.slo_flipped,
         "acceptance": acceptance,
         "acceptance_violations": acceptance_violations,
     }
@@ -901,7 +938,7 @@ def run_ingest_drill(seed: int, backend: str, steps: int, verbose: bool):
     controller = ChaosController(
         parse_schedule(INGEST_SCHEDULE), endpoints, clock=clock,
     )
-    monitor = build_slo_monitor(clock)
+    ticker = DrillTicker(controller, clock, verbose)
     duration = 60.0
     step_dt = duration / steps
     rotate_every = max(2, steps // 10)
@@ -941,10 +978,7 @@ def run_ingest_drill(seed: int, backend: str, steps: int, verbose: bool):
         return {"raised": False}
 
     for i in range(steps):
-        for event in controller.tick():
-            if verbose:
-                print(f"  [t={clock.now():5.1f}] chaos: {event.action} "
-                      f"{event.target} {dict(event.params)}")
+        ticker.tick()
 
         # Events also fire mid-query (retry sleeps advance the clock and
         # ChaosEndpoint ticks the controller per exchange), so detect the
@@ -1005,8 +1039,7 @@ def run_ingest_drill(seed: int, backend: str, steps: int, verbose: bool):
                 wrong.append((i, qtable, answer_epoch))
             else:
                 verified += 1
-        if monitor is not None:
-            monitor.record(ok=ok, latency=clock.now() - query_t0)
+        ticker.record(ok, query_t0)
         clock.advance(step_dt)
 
     # Flush trailing events, then close the books: one final rotation and
@@ -1072,7 +1105,7 @@ def run_ingest_drill(seed: int, backend: str, steps: int, verbose: bool):
         "final_sync": final_sync,
         "compaction": compaction,
         "failover": failover,
-        "slo": slo_outcome(monitor),
+        "slo": slo_outcome(ticker.monitor),
     }
 
 
@@ -1182,15 +1215,9 @@ def check_ingest_invariants(outcome) -> list:
 
 
 def main_ingest(args) -> int:
-    wall_start = time.perf_counter()
-    outcome = run_ingest_drill(
-        args.seed, args.backend, args.queries, args.verbose
+    outcome, violations, wall = run_checked(
+        args, run_ingest_drill, check_ingest_invariants
     )
-    violations = check_ingest_invariants(outcome)
-    if args.scrape_lint:
-        violations.extend(scrape_lint(outcome["endpoints"]))
-    wall = time.perf_counter() - wall_start
-
     publishers = outcome["publishers"]
     endpoints = outcome["endpoints"]
     summary = {
@@ -1230,22 +1257,18 @@ def main_ingest(args) -> int:
         "slo": outcome["slo"] and outcome["slo"]["snapshot"],
         "wall_seconds": round(wall, 2),
     }
-    print(json.dumps(summary, indent=2))
     with open("BENCH_ingest.json", "w") as fp:
         json.dump(
             {"summary": summary, "trajectory": outcome["rotations"]},
             fp, indent=2,
         )
-
-    if violations:
-        for violation in violations:
-            print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
-        return 1
-    print(f"ingest chaos soak OK: {outcome['verified']}/{outcome['issued']} "
-          f"verified against per-epoch shadow tables under wedge + torn tail "
-          f"+ scramble + partition-through-rotations ({args.backend}, "
-          f"{wall:.1f}s)")
-    return 0
+    return conclude(
+        summary, violations,
+        f"ingest chaos soak OK: {outcome['verified']}/{outcome['issued']} "
+        f"verified against per-epoch shadow tables under wedge + torn tail "
+        f"+ scramble + partition-through-rotations ({args.backend}, "
+        f"{wall:.1f}s)",
+    )
 
 
 def main(argv=None) -> int:
@@ -1289,14 +1312,11 @@ def main(argv=None) -> int:
         return main_sharded(args)
     if args.ingest:
         return main_ingest(args)
+    return main_replicated(args)
 
-    wall_start = time.perf_counter()
-    outcome = run_drill(args.seed, args.backend, args.queries, args.verbose)
-    violations = check_invariants(outcome)
-    if args.scrape_lint:
-        violations.extend(scrape_lint(outcome["endpoints"]))
-    wall = time.perf_counter() - wall_start
 
+def main_replicated(args) -> int:
+    outcome, violations, wall = run_checked(args, run_drill, check_invariants)
     client = outcome["client"]
     summary = {
         "backend": args.backend,
@@ -1323,28 +1343,18 @@ def main(argv=None) -> int:
         "slo_flipped": outcome["slo_flipped"],
         "wall_seconds": round(wall, 2),
     }
-    print(json.dumps(summary, indent=2))
-
-    if violations:
-        for violation in violations:
-            print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
-        return 1
-    print(f"chaos soak OK: {outcome['verified']}/{outcome['issued']} verified "
-          f"under persistent tamper + crash/restart + overload burst "
-          f"({args.backend}, {wall:.1f}s)")
-    return 0
+    return conclude(
+        summary, violations,
+        f"chaos soak OK: {outcome['verified']}/{outcome['issued']} verified "
+        f"under persistent tamper + crash/restart + overload burst "
+        f"({args.backend}, {wall:.1f}s)",
+    )
 
 
 def main_sharded(args) -> int:
-    wall_start = time.perf_counter()
-    outcome = run_sharded_drill(
-        args.seed, args.backend, args.queries, args.verbose
+    outcome, violations, wall = run_checked(
+        args, run_sharded_drill, check_sharded_invariants
     )
-    violations = check_sharded_invariants(outcome)
-    if args.scrape_lint:
-        violations.extend(scrape_lint(outcome["endpoints"]))
-    wall = time.perf_counter() - wall_start
-
     client = outcome["client"]
     available = outcome["complete"] + outcome["partial"]
     summary = {
@@ -1376,17 +1386,13 @@ def main_sharded(args) -> int:
         "traced_acceptance": outcome["acceptance"],
         "wall_seconds": round(wall, 2),
     }
-    print(json.dumps(summary, indent=2))
-
-    if violations:
-        for violation in violations:
-            print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)
-        return 1
-    print(f"sharded chaos soak OK: {available}/{outcome['issued']} answered "
-          f"({outcome['partial']} valid partials) under replica tamper + "
-          f"stale epoch + shard-wide crash/restart ({args.backend}, "
-          f"{wall:.1f}s)")
-    return 0
+    return conclude(
+        summary, violations,
+        f"sharded chaos soak OK: {available}/{outcome['issued']} answered "
+        f"({outcome['partial']} valid partials) under replica tamper + "
+        f"stale epoch + shard-wide crash/restart ({args.backend}, "
+        f"{wall:.1f}s)",
+    )
 
 
 if __name__ == "__main__":

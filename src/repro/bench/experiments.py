@@ -16,6 +16,7 @@ import random
 import time
 from typing import Sequence
 
+from repro.bench.costmodel import predict_table1
 from repro.bench.harness import (
     QueryCost,
     Setup,
@@ -63,12 +64,17 @@ def run_table1(
         headers=[
             "scale", "records", "sign APPs (s)", "build index (s)",
             "index (KB)", "structure (KB)", "signatures (KB)",
+            "predicted sig lower (KB)", "predicted sig upper (KB)",
         ],
-        notes="index is full over the domain, so costs saturate with scale",
+        notes="index is full over the domain, so costs saturate with scale; "
+        "predicted columns are the analytic bounds of repro.bench.costmodel",
     )
     for scale in scales:
         setup = build_setup(scale=scale, shape=shape, backend=backend)
         stats = setup.tree.stats
+        predicted = predict_table1(
+            setup.owner.group, setup.config, setup.workload.policies
+        )
         result.add_row(
             scale,
             stats.num_real_records,
@@ -77,6 +83,8 @@ def run_table1(
             kib(stats.index_bytes),
             kib(stats.structure_bytes),
             kib(stats.signature_bytes),
+            predicted.lower_index_kib,
+            predicted.upper_index_kib,
         )
     return result
 

@@ -178,30 +178,16 @@ class AppAuthenticator:
         missing_roles: Sequence[str],
         rng: Optional[random.Random] = None,
     ) -> AbsSignature:
-        """ABS.Relax an APP signature to the super policy ``OR(missing_roles)``."""
-        key = self.aps_cache_key(signature, message, missing_roles)
-        cached = self.aps_cache_get(key)
-        if cached is not None:
-            return cached
-        slot, owner = self.relax_begin(key)
-        if not owner:
-            try:
-                return self.relax_wait(slot)
-            except Exception:
-                # Owner errored or never published; fall through and
-                # derive locally — correctness over dedup.
-                pass
-        try:
-            aps, _ = relax(
-                self.scheme, self.mvk, signature, message, policy, missing_roles, rng
-            )
-        except BaseException as exc:
-            if owner:
-                self.relax_publish(key, slot, error=exc)
-            raise
-        self.aps_cache_put(key, aps)
-        if owner:
-            self.relax_publish(key, slot, value=aps)
+        """ABS.Relax an APP signature to the super policy ``OR(missing_roles)``.
+
+        The SP's only ``ABS.Relax`` call site, and stateless: the APS
+        cache and cross-query single flight live in the engine's
+        plan/settle (:func:`repro.core.engine.materialize`), so every
+        call here is one real derivation.
+        """
+        aps, _ = relax(
+            self.scheme, self.mvk, signature, message, policy, missing_roles, rng
+        )
         return aps
 
     def missing_roles_for(self, user_roles) -> list[str]:

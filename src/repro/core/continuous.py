@@ -10,7 +10,9 @@ This module implements the 1-D continuous scheme directly:
 
 * :class:`ContinuousIndex` (DO side) — region + record signatures;
 * :func:`continuous_equality_vo` / :func:`continuous_range_vo`
-  (SP side) — records where accessible, APS on records/regions elsewhere;
+  (SP side) — records where accessible, APS on records/regions elsewhere,
+  as :class:`~repro.core.engine.ProofTask` lists materialized by the
+  query engine like every other query kind;
 * :func:`verify_continuous_vo` (user side) — soundness plus gap-free
   coverage of the query interval.
 
@@ -26,13 +28,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.app_signature import AppAuthenticator, AppSigner
-from repro.core.records import Record
-from repro.core.vo import (
-    AccessibleRecordEntry,
-    InaccessibleNodeEntry,
-    InaccessibleRecordEntry,
-    VerificationObject,
+from repro.core.engine import (
+    ACCESSIBLE_RECORD,
+    INACCESSIBLE_NODE,
+    INACCESSIBLE_RECORD,
+    ProofTask,
+    materialize,
 )
+from repro.core.records import Record
+from repro.core.vo import VerificationObject
 from repro.errors import CompletenessError, WorkloadError
 from repro.index.boxes import Box
 from repro.policy.boolexpr import Attr
@@ -114,37 +118,24 @@ def continuous_range_vo(
 ) -> VerificationObject:
     """SP side: records where accessible; APS on records/regions otherwise."""
     user_roles = authenticator.universe.validate_user_roles(user_roles)
-    vo = VerificationObject()
     pseudo = Attr(PSEUDO_ROLE)
+    tasks: list[ProofTask] = []
     for kind, signed in index.segments():
         if kind == "record":
             record = signed.record
             if not query.contains_point(record.key):
                 continue
-            if record.policy.evaluate(user_roles):
-                vo.add(
-                    AccessibleRecordEntry(
-                        key=record.key,
-                        value=record.value,
-                        policy=record.policy,
-                        signature=signed.signature,
-                    )
-                )
-            else:
-                aps = authenticator.derive_record_aps(record, signed.signature, user_roles, rng)
-                vo.add(
-                    InaccessibleRecordEntry(
-                        key=record.key, value_hash=record.value_hash(), aps=aps
-                    )
-                )
-        else:
-            if not signed.box.intersects(query):
-                continue
-            aps = authenticator.derive_node_aps(
-                signed.box, pseudo, signed.signature, user_roles, rng
-            )
-            vo.add(InaccessibleNodeEntry(box=signed.box, aps=aps))
-    return vo
+            accessible = record.policy.evaluate(user_roles)
+            tasks.append(ProofTask(
+                kind=ACCESSIBLE_RECORD if accessible else INACCESSIBLE_RECORD,
+                signature=signed.signature, record=record,
+            ))
+        elif signed.box.intersects(query):
+            tasks.append(ProofTask(
+                kind=INACCESSIBLE_NODE, signature=signed.signature,
+                box=signed.box, policy=pseudo,
+            ))
+    return materialize(tasks, authenticator, user_roles, rng)
 
 
 def continuous_equality_vo(

@@ -13,17 +13,28 @@ planner.  This module splits the work into two phases:
 * **Phase 2 — materialization** (:func:`materialize`): turn descriptors
   into VO entries.  Accessible tasks copy the stored APP signature; the
   independent ``ABS.Relax`` derivations (the dominant SP cost, paper
-  Section 8.2) are dispatched through
-  :func:`repro.parallel.parallel_map` with a configurable worker count,
-  after consulting the authenticator's APS cache so repeated proofs are
-  never re-derived.
+  Section 8.2) go through one pipeline for every worker count and
+  backend:
 
-With ``workers=1`` and a shared ``rng`` the materializer consumes
-randomness in task order, making its output byte-identical to the
-historical single-phase builders (golden-tested).  With ``workers > 1``
-each relax job gets an independent seed pre-drawn in task order, so the
-output is deterministic for a given seed regardless of scheduling (the
-APS bytes differ from the serial stream, but sizes and validity do not).
+  - *plan* (``_plan_relax``) consults the authenticator's APS cache,
+    collapses duplicates within the batch, and claims a single-flight
+    slot per remaining derivation, so concurrent queries that need the
+    same APS derive it once;
+  - *derive* (``_run_relax``) runs the owned jobs through
+    :meth:`AppAuthenticator.derive_aps`, the SP's only ``ABS.Relax``
+    call site: inline at ``workers=1``, otherwise on a thread pool or
+    the persistent spawn process pool;
+  - *settle* (``_settle_relax``) fills the cache, publishes owned
+    results, and waits for flights owned by other queries, deriving
+    locally if their owner failed (``_abort_relax`` publishes the error
+    when a derivation raises, so waiters never hang).
+
+The inline runner consumes a shared ``rng`` in task order, making its
+output byte-identical to the historical single-phase builders
+(golden-tested).  The pool runners pre-draw one seed per job in task
+order, so their output is deterministic for a given seed regardless of
+scheduling, and the process VO is byte-identical to the thread VO (the
+APS bytes differ from the inline stream, but sizes and validity do not).
 """
 
 from __future__ import annotations
@@ -35,8 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.abs.keys import AbsVerificationKey
-from repro.abs.relax import relax
-from repro.abs.scheme import AbsScheme, AbsSignature
+from repro.abs.scheme import AbsSignature
 from repro.core.app_signature import AppAuthenticator
 from repro.core.records import Record
 from repro.core.vo import (
@@ -54,6 +64,7 @@ from repro.obs import ledger as _ledger
 from repro.obs import trace as _trace
 from repro.parallel import parallel_map, resolve_workers
 from repro.policy.boolexpr import BoolExpr
+from repro.policy.roles import RoleUniverse
 
 _REG = _metrics.registry()
 _M_TASKS = _REG.counter(
@@ -159,8 +170,8 @@ def _inaccessible_node(node: IndexNode, table: str) -> ProofTask:
 
 # ----------------------------------------------------------------------
 # Phase 1: crypto-free traversals.  Emission order matches the historical
-# single-phase builders exactly (the serial materializer relies on this
-# for byte-identical output).
+# single-phase builders exactly (the inline runner relies on this for
+# byte-identical output).
 # ----------------------------------------------------------------------
 def traverse_equality(
     tree: APGTree, key: Point, user_roles, table: str = ""
@@ -331,9 +342,11 @@ class EngineStats:
     """Per-phase observability for one engine execution.
 
     ``group_ops`` is the :class:`~repro.crypto.GroupOpStats` delta of the
-    materialization phase; cache counters are deltas of the
-    authenticator's APS-cache counters; ``relax_calls`` counts the
-    ``ABS.Relax`` derivations actually performed (cache hits excluded).
+    materialization phase; ``aps_cache_hits``/``aps_cache_misses`` count
+    this execution's own APS-cache lookups that hit and derivations it
+    cached; ``relax_calls`` counts the
+    ``ABS.Relax`` derivations actually performed (cache hits, in-batch
+    duplicates and waits on a concurrent query's flight excluded).
     """
 
     kind: str = ""
@@ -389,56 +402,39 @@ def _entry_for(task: ProofTask, aps: Optional[AbsSignature]) -> VOEntry:
     raise ReproError(f"unknown proof task kind {task.kind!r}")
 
 
-def _materialize_serial(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Derive in task order with a shared rng (byte-identical to the
-    historical single-phase builders for the same seed)."""
-    entries: list[VOEntry] = []
-    for task in tasks:
-        if task.needs_relax:
-            hits_before = authenticator.aps_cache_hits
-            if task.kind == INACCESSIBLE_RECORD:
-                aps = authenticator.derive_record_aps(
-                    task.record, task.signature, user_roles, rng
-                )
-            else:
-                aps = authenticator.derive_node_aps(
-                    task.box, task.policy, task.signature, user_roles, rng
-                )
-            if authenticator.aps_cache_hits == hits_before:
-                stats.relax_calls += 1
-        else:
-            aps = None
-        entries.append(_entry_for(task, aps))
-    return entries
-
-
 #: One planned relax derivation: (cache key, in-flight slot, first task
-#: index, task, pre-drawn seed).
+#: index, task, pre-drawn seed or ``None`` when it draws from the shared
+#: rng).
 _RelaxJob = tuple[Optional[tuple], object, int, ProofTask, Optional[int]]
+
+
+def _job_rng(seed: Optional[int], rng: Optional[random.Random]):
+    """A derivation's randomness: its pre-drawn seed, else the shared rng."""
+    return random.Random(seed) if seed is not None else rng
+
+
+def _derive(authenticator: AppAuthenticator, task: ProofTask,
+            missing: Sequence[str], rng: Optional[random.Random]) -> AbsSignature:
+    return authenticator.derive_aps(
+        task.signature, task.relax_message(), task.relax_policy(), missing, rng
+    )
 
 
 def _plan_relax(
     tasks: Sequence[ProofTask],
     authenticator: AppAuthenticator,
     missing: Sequence[str],
-    rng: Optional[random.Random],
+    seed_rng: Optional[random.Random],
 ):
-    """Phase-2 work planning shared by the thread and process paths.
+    """Plan: decide which derivations this call must perform.
 
     Consults the APS cache, collapses duplicate derivations within the
     batch (``pending``), and claims an in-flight slot per remaining key
     so *concurrent queries* sharing APS work dedup against each other:
     flights this call owns go to ``jobs`` (we derive and publish);
     flights another query already owns go to ``foreign`` (we wait for its
-    result instead of recomputing).  Seeds are pre-drawn in task order —
-    for a single in-flight query every ``begin`` returns ownership, so
-    the rng stream is identical to the historical planner.
+    result instead of recomputing).  When ``seed_rng`` is given, one seed
+    per job is pre-drawn from it in task order.
     """
     aps_by_index: dict[int, AbsSignature] = {}
     pending: dict[tuple, list[int]] = {}
@@ -458,24 +454,36 @@ def _plan_relax(
                 positions.append(index)
                 continue
             pending[key] = [index]
-        seed = rng.getrandbits(64) if rng is not None else None
+        seed = seed_rng.getrandbits(64) if seed_rng is not None else None
         slot, owner = authenticator.relax_begin(key)
         (jobs if owner else foreign).append((key, slot, index, task, seed))
     return aps_by_index, pending, jobs, foreign
 
 
-def _local_relax(
+def _run_relax(
+    jobs: list[_RelaxJob],
     authenticator: AppAuthenticator,
-    task: ProofTask,
     missing: Sequence[str],
-    seed: Optional[int],
-) -> AbsSignature:
-    job_rng = random.Random(seed) if seed is not None else None
-    aps, _ = relax(
-        authenticator.scheme, authenticator.mvk, task.signature,
-        task.relax_message(), task.relax_policy(), missing, job_rng,
-    )
-    return aps
+    rng: Optional[random.Random],
+    workers: int,
+    backend: str,
+) -> list[AbsSignature]:
+    """Derive: run every owned job, returning APS signatures in job order.
+
+    Inline at ``workers=1`` on the thread backend (jobs carry no seed and
+    draw from the shared ``rng`` in task order); otherwise a thread pool
+    or the spawn process pool, each job seeded from its pre-drawn seed.
+    """
+    if backend == "process":
+        return _run_process(jobs, authenticator, missing, workers)
+
+    def run(job: _RelaxJob) -> AbsSignature:
+        _key, _slot, _index, task, seed = job
+        return _derive(authenticator, task, missing, _job_rng(seed, rng))
+
+    if workers == 1:
+        return [run(job) for job in jobs]
+    return parallel_map(run, jobs, workers=min(workers, max(1, len(jobs))))
 
 
 def _settle_relax(
@@ -486,19 +494,22 @@ def _settle_relax(
     results: Sequence[AbsSignature],
     foreign: list[_RelaxJob],
     missing: Sequence[str],
+    rng: Optional[random.Random],
     stats: EngineStats,
 ) -> None:
-    """Publish owned results, then settle flights owned by other queries."""
+    """Settle: publish owned results, then await flights owned elsewhere.
+
+    ``relax_calls`` counts the owned jobs plus local fallbacks: a query
+    that reused a concurrent query's derivation performed none.  Cache
+    misses are the derivations this call put into the cache.
+    """
     for (key, slot, index, _task, _seed), aps in zip(jobs, results):
-        if key is not None:
-            authenticator.aps_cache_put(key, aps)
+        authenticator.aps_cache_put(key, aps)
         authenticator.relax_publish(key, slot, value=aps)
-        if key is not None:
-            for position in pending[key]:
-                aps_by_index[position] = aps
-        else:
-            aps_by_index[index] = aps
+        for position in pending.get(key, (index,)):
+            aps_by_index[position] = aps
     stats.relax_calls += len(jobs)
+    stats.aps_cache_misses += sum(key is not None for key, *_ in jobs)
     for key, slot, index, task, seed in foreign:
         try:
             aps = authenticator.relax_wait(slot)
@@ -506,10 +517,10 @@ def _settle_relax(
             # The owning query errored or never published: derive locally
             # rather than failing a query that did nothing wrong.
             _M_INFLIGHT_FALLBACK.inc()
-            aps = _local_relax(authenticator, task, missing, seed)
+            aps = _derive(authenticator, task, missing, _job_rng(seed, rng))
             stats.relax_calls += 1
-            if key is not None:
-                authenticator.aps_cache_put(key, aps)
+            stats.aps_cache_misses += 1
+            authenticator.aps_cache_put(key, aps)
         for position in pending.get(key, (index,)):
             aps_by_index[position] = aps
 
@@ -521,86 +532,39 @@ def _abort_relax(authenticator: AppAuthenticator, jobs: list[_RelaxJob],
         authenticator.relax_publish(key, slot, error=exc)
 
 
-def _materialize_parallel(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
-    workers: int,
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Dispatch relax jobs through thread-backed :func:`parallel_map`.
-
-    The APS cache is consulted (and filled) in the dispatching thread, so
-    worker threads never touch shared mutable state; identical derivations
-    within one batch are deduplicated when the cache is enabled, and
-    derivations already in flight for a *concurrent* query are awaited
-    instead of recomputed.  Seeds are pre-drawn in task order, making the
-    output deterministic for a given ``rng`` seed regardless of thread
-    scheduling.
-    """
-    missing = authenticator.missing_roles_for(user_roles)
-    aps_by_index, pending, jobs, foreign = _plan_relax(tasks, authenticator, missing, rng)
-
-    scheme, mvk = authenticator.scheme, authenticator.mvk
-
-    def run_job(job) -> AbsSignature:
-        _key, _slot, _index, task, seed = job
-        job_rng = random.Random(seed) if seed is not None else None
-        aps, _ = relax(
-            scheme, mvk, task.signature, task.relax_message(),
-            task.relax_policy(), missing, job_rng,
-        )
-        return aps
-
-    try:
-        results = parallel_map(
-            run_job, jobs, workers=min(workers, max(1, len(jobs)))
-        )
-    except BaseException as exc:
-        _abort_relax(authenticator, jobs, exc)
-        raise
-    _settle_relax(
-        authenticator, aps_by_index, pending, jobs, results, foreign, missing, stats
-    )
-    return [_entry_for(task, aps_by_index.get(i)) for i, task in enumerate(tasks)]
-
-
 # ----------------------------------------------------------------------
-# Process-pool materialization.
+# Process-pool runner.
 #
 # Spawned workers cannot share the dispatcher's group singleton or its
-# caches, so each worker rebuilds its own from bytes exactly once (the
-# pool initializer below) and every job travels as picklable primitives:
-# serialized signatures in, serialized signatures out.  Group elements
-# round-trip losslessly through ``to_bytes``/``deserialize``, and relax
-# randomness comes only from the pre-drawn per-job seed — so the process
-# path is byte-identical to the thread path for the same rng.
+# caches, so each worker rebuilds its own authenticator from bytes
+# exactly once (the pool initializer below) and every job travels as
+# picklable primitives: serialized signatures in, serialized signatures
+# out.  Group elements round-trip losslessly through
+# ``to_bytes``/``deserialize``, and relax randomness comes only from the
+# pre-drawn per-job seed, so the process runner is byte-identical to the
+# thread runner for the same rng.
 # ----------------------------------------------------------------------
 _WORKER_CTX: dict = {}
 
 
 def _relax_worker_init(backend_name: str, mvk_bytes: bytes,
-                       warm_roles: tuple) -> None:
+                       roles: tuple) -> None:
     """One-time initializer for a spawned relax worker.
 
-    Rebuilds the process-local group singleton, deserializes the
-    verification key, and pre-warms the caches every relax touches
-    (generator + attribute-base Lim-Lee combs, the pairing LRU) so the
-    worker's first job runs at steady-state speed.
+    Rebuilds the process-local group singleton and a worker-local
+    authenticator from the verification key, and pre-warms the caches
+    every relax touches (generator + attribute-base Lim-Lee combs, the
+    pairing LRU) so the worker's first job runs at steady-state speed.
     """
     from repro.crypto.group import resolve_pickle_backend
 
     group = resolve_pickle_backend(backend_name)
     group.warm_worker()
-    mvk = AbsVerificationKey.from_bytes(group, mvk_bytes)
-    for role in warm_roles:
-        group.pow_fixed(mvk.attribute_base(role), 1)
-    group.pow_fixed(mvk.g, 1)
-    group.pow_fixed(mvk.c, 1)
-    _WORKER_CTX["group"] = group
-    _WORKER_CTX["mvk"] = mvk
-    _WORKER_CTX["scheme"] = AbsScheme(group)
+    authenticator = AppAuthenticator(
+        group, RoleUniverse(roles), AbsVerificationKey.from_bytes(group, mvk_bytes)
+    )
+    authenticator.warm_caches()
+    _WORKER_CTX["authenticator"] = authenticator
 
 
 def _relax_worker_job(job: tuple) -> tuple[bytes, dict]:
@@ -608,74 +572,58 @@ def _relax_worker_job(job: tuple) -> tuple[bytes, dict]:
 
     ``job`` is ``(signature bytes, message, policy, missing roles, seed)``;
     returns ``(APS bytes, group-op delta)`` so the dispatcher can fold the
-    worker's op counts back into its own stats (counter parity with a
-    serial run of the same workload).
+    worker's op counts back into its own stats (counter parity with the
+    other runners on the same workload).
     """
     try:
-        group = _WORKER_CTX["group"]
-        mvk = _WORKER_CTX["mvk"]
-        scheme = _WORKER_CTX["scheme"]
+        authenticator = _WORKER_CTX["authenticator"]
     except KeyError:
         raise ReproError(
             "relax worker context missing: _relax_worker_job must run in a "
             "pool initialized with _relax_worker_init"
         ) from None
     sig_bytes, message, policy, missing, seed = job
+    group = authenticator.group
     before = group.stats.snapshot()
     signature = AbsSignature.from_bytes(group, sig_bytes)
-    job_rng = random.Random(seed) if seed is not None else None
-    aps, _ = relax(scheme, mvk, signature, message, policy, missing, job_rng)
+    aps = authenticator.derive_aps(
+        signature, message, policy, missing, _job_rng(seed, None)
+    )
     return aps.to_bytes(), group.stats.delta(before)
 
 
-def _materialize_process(
-    tasks: Sequence[ProofTask],
+def _run_process(
+    jobs: list[_RelaxJob],
     authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
+    missing: Sequence[str],
     workers: int,
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Dispatch relax jobs to the persistent spawn process pool.
-
-    This is the path where cold batches actually scale with cores: the
-    pairing math runs in separate interpreters, free of the GIL.  Even
-    ``workers=1`` routes through the pool — process jobs depend on
-    worker-initializer state the dispatching process does not have.
-    """
-    missing = authenticator.missing_roles_for(user_roles)
-    aps_by_index, pending, jobs, foreign = _plan_relax(tasks, authenticator, missing, rng)
-
+) -> list[AbsSignature]:
+    """Ship the jobs to the persistent spawn pool, where pairing math
+    runs free of the GIL.  Even ``workers=1`` goes through the pool:
+    its jobs depend on worker-initializer state."""
     group = authenticator.group
     payloads = [
         (task.signature.to_bytes(), task.relax_message(), task.relax_policy(),
          list(missing), seed)
         for _key, _slot, _index, task, seed in jobs
     ]
-    try:
-        raw = parallel_map(
-            _relax_worker_job,
-            payloads,
-            workers=workers,
-            backend="process",
-            initializer=_relax_worker_init,
-            initargs=(
-                group.name,
-                authenticator.mvk.to_bytes(),
-                tuple(authenticator.universe.roles),
-            ),
-        )
-    except BaseException as exc:
-        _abort_relax(authenticator, jobs, exc)
-        raise
+    raw = parallel_map(
+        _relax_worker_job,
+        payloads,
+        workers=workers,
+        backend="process",
+        initializer=_relax_worker_init,
+        initargs=(
+            group.name,
+            authenticator.mvk.to_bytes(),
+            tuple(authenticator.universe.roles),
+        ),
+    )
     results = []
     for aps_bytes, ops_delta in raw:
         results.append(AbsSignature.from_bytes(group, aps_bytes))
         group.stats.merge(ops_delta)
-    _settle_relax(
-        authenticator, aps_by_index, pending, jobs, results, foreign, missing, stats
-    )
-    return [_entry_for(task, aps_by_index.get(i)) for i, task in enumerate(tasks)]
+    return results
 
 
 def materialize(
@@ -689,10 +637,10 @@ def materialize(
 ) -> VerificationObject:
     """Phase 2: turn a task list into a VO.
 
-    ``user_roles`` must already be validated (the traversal's roles);
-    ``workers`` > 1 routes all ``ABS.Relax`` work through
+    ``user_roles`` must already be validated (the traversal's roles).
+    ``workers`` > 1 runs the owned ``ABS.Relax`` jobs through
     :func:`repro.parallel.parallel_map` (``None`` auto-sizes from the
-    host's CPU count), and ``backend="process"`` ships the jobs to the
+    host's CPU count), and ``backend="process"`` ships them to the
     persistent spawn process pool — the only configuration where
     pure-Python pairing math escapes the GIL.  ``stats``, when given, is
     filled with per-phase costs.
@@ -716,32 +664,35 @@ def materialize(
         stats.tasks[kind] = stats.tasks.get(kind, 0)
     for kind, count in call_tasks.items():
         stats.tasks[kind] = stats.tasks.get(kind, 0) + count
-    hits0 = authenticator.aps_cache_hits
-    misses0 = authenticator.aps_cache_misses
+    hits0 = stats.aps_cache_hits
+    misses0 = stats.aps_cache_misses
     relax0 = stats.relax_calls
     ops_before = authenticator.group.stats.snapshot()
     t0 = time.perf_counter()
     with _trace.span("engine.materialize", workers=workers, backend=backend) as mat_span:
-        if backend == "process":
-            # Always through the pool: process jobs need initializer state.
-            entries = _materialize_process(
-                tasks, authenticator, user_roles, rng, workers, stats
-            )
-        elif workers == 1:
-            entries = _materialize_serial(tasks, authenticator, user_roles, rng, stats)
-        else:
-            entries = _materialize_parallel(
-                tasks, authenticator, user_roles, rng, workers, stats
-            )
+        missing = authenticator.missing_roles_for(user_roles)
+        inline = backend == "thread" and workers == 1
+        aps_by_index, pending, jobs, foreign = _plan_relax(
+            tasks, authenticator, missing, None if inline else rng
+        )
+        stats.aps_cache_hits += len(aps_by_index)
+        try:
+            results = _run_relax(jobs, authenticator, missing, rng, workers, backend)
+        except BaseException as exc:
+            _abort_relax(authenticator, jobs, exc)
+            raise
+        _settle_relax(
+            authenticator, aps_by_index, pending, jobs, results, foreign,
+            missing, rng, stats,
+        )
+        entries = [_entry_for(task, aps_by_index.get(i)) for i, task in enumerate(tasks)]
         mat_span.set_attributes(
             tasks=len(tasks), relax_calls=stats.relax_calls - relax0
         )
     elapsed = time.perf_counter() - t0
     stats.relax_ms += elapsed * 1000.0
-    relaxed_hits = authenticator.aps_cache_hits - hits0
-    relaxed_misses = authenticator.aps_cache_misses - misses0
-    stats.aps_cache_hits += relaxed_hits
-    stats.aps_cache_misses += relaxed_misses
+    relaxed_hits = stats.aps_cache_hits - hits0
+    relaxed_misses = stats.aps_cache_misses - misses0
     backend = getattr(authenticator.group, "name", type(authenticator.group).__name__)
     ops_delta = {
         key: value

@@ -83,6 +83,11 @@ def test_experiments_run_small():
 
     r = X.run_table1(scales=(0.1, 3), shape=(8, 4, 4))
     assert len(r.rows) == 2
+    measured = r.headers.index("signatures (KB)")
+    lower = r.headers.index("predicted sig lower (KB)")
+    upper = r.headers.index("predicted sig upper (KB)")
+    for row in r.rows:
+        assert row[lower] <= row[measured] <= row[upper], row
     r = X.run_table2(policy_lengths=(6,), predicate_lengths=(10,), repeats=1)
     assert len(r.rows) == 1
     r = X.run_fig13(thread_counts=(1, 4), num_jobs=3, backend="simulated")

@@ -1,10 +1,15 @@
-"""Tests for the MSP memoization and SP-side APS cache."""
+"""Tests for the MSP memoization and SP-side APS cache.
+
+The APS cache lives in the engine's plan/settle, so its tests drive
+:func:`repro.core.engine.materialize` with one inaccessible-record task.
+"""
 
 import random
 
 import pytest
 
 from repro.core.app_signature import AppAuthenticator
+from repro.core.engine import INACCESSIBLE_RECORD, ProofTask, materialize
 from repro.core.records import Record
 from repro.core.system import DataOwner
 from repro.crypto import simulated
@@ -54,12 +59,19 @@ def aps_env():
     return rng, universe, auth, record, sig
 
 
+def _derive(auth, record, sig, roles, rng):
+    """The APS the engine materializes for one inaccessible record."""
+    task = ProofTask(kind=INACCESSIBLE_RECORD, signature=sig, record=record)
+    (entry,) = materialize([task], auth, roles, rng).entries
+    return entry.aps
+
+
 def test_aps_cache_hit_returns_identical_signature(aps_env):
     rng, universe, auth, record, sig = aps_env
     auth.enable_aps_cache()
     roles = {"RoleB"}
-    first = auth.derive_record_aps(record, sig, roles, rng)
-    second = auth.derive_record_aps(record, sig, roles, rng)
+    first = _derive(auth, record, sig, roles, rng)
+    second = _derive(auth, record, sig, roles, rng)
     assert first == second  # served from cache
     assert auth.aps_cache_hits == 1
     assert auth.aps_cache_misses == 1
@@ -69,9 +81,9 @@ def test_aps_cache_hit_returns_identical_signature(aps_env):
 def test_aps_cache_distinguishes_role_sets(aps_env):
     rng, universe, auth, record, sig = aps_env
     auth.enable_aps_cache()
-    a = auth.derive_record_aps(record, sig, frozenset({"RoleB"}), rng)
+    a = _derive(auth, record, sig, frozenset({"RoleB"}), rng)
     # A user with no roles has a different missing set -> cache miss.
-    b = auth.derive_record_aps(record, sig, frozenset(), rng)
+    b = _derive(auth, record, sig, frozenset(), rng)
     assert auth.aps_cache_misses == 2
     assert len(a.s) != len(b.s)  # different super-policy lengths
 
@@ -79,16 +91,16 @@ def test_aps_cache_distinguishes_role_sets(aps_env):
 def test_aps_cache_disabled_gives_fresh_signatures(aps_env):
     rng, universe, auth, record, sig = aps_env
     roles = {"RoleB"}
-    first = auth.derive_record_aps(record, sig, roles, rng)
-    second = auth.derive_record_aps(record, sig, roles, rng)
+    first = _derive(auth, record, sig, roles, rng)
+    second = _derive(auth, record, sig, roles, rng)
     assert first != second  # re-randomized every time
 
 
 def test_aps_cache_eviction(aps_env):
     rng, universe, auth, record, sig = aps_env
     auth.enable_aps_cache(maxsize=1)
-    auth.derive_record_aps(record, sig, frozenset({"RoleB"}), rng)
-    auth.derive_record_aps(record, sig, frozenset(), rng)  # evicts the first
-    auth.derive_record_aps(record, sig, frozenset({"RoleB"}), rng)
+    _derive(auth, record, sig, frozenset({"RoleB"}), rng)
+    _derive(auth, record, sig, frozenset(), rng)  # evicts the first
+    _derive(auth, record, sig, frozenset({"RoleB"}), rng)
     assert auth.aps_cache_hits == 0
     assert auth.aps_cache_misses == 3

@@ -13,13 +13,59 @@ from repro.core.continuous import (
 )
 from repro.core.records import Record
 from repro.core.system import DataOwner
+from repro.core.vo import (
+    AccessibleRecordEntry,
+    InaccessibleNodeEntry,
+    InaccessibleRecordEntry,
+    VerificationObject,
+)
 from repro.crypto import simulated
 from repro.errors import CompletenessError, WorkloadError
 from repro.index.boxes import Box
-from repro.policy.boolexpr import parse_policy
-from repro.policy.roles import RoleUniverse
+from repro.policy.boolexpr import Attr, parse_policy
+from repro.policy.roles import PSEUDO_ROLE, RoleUniverse
 
 LO, HI = 0, 9999
+
+
+# ----------------------------------------------------------------------
+# Frozen pre-engine builder (golden reference).  A verbatim copy of the
+# SP-side builder the engine-backed ``continuous_range_vo`` replaced; do
+# not "fix" or modernize it — byte-identity against it is the contract.
+# ----------------------------------------------------------------------
+def _legacy_continuous_range_vo(index, authenticator, query, user_roles, rng=None):
+    user_roles = authenticator.universe.validate_user_roles(user_roles)
+    vo = VerificationObject()
+    pseudo = Attr(PSEUDO_ROLE)
+    for kind, signed in index.segments():
+        if kind == "record":
+            record = signed.record
+            if not query.contains_point(record.key):
+                continue
+            if record.policy.evaluate(user_roles):
+                vo.add(
+                    AccessibleRecordEntry(
+                        key=record.key,
+                        value=record.value,
+                        policy=record.policy,
+                        signature=signed.signature,
+                    )
+                )
+            else:
+                aps = authenticator.derive_record_aps(record, signed.signature, user_roles, rng)
+                vo.add(
+                    InaccessibleRecordEntry(
+                        key=record.key, value_hash=record.value_hash(), aps=aps
+                    )
+                )
+        else:
+            if not signed.box.intersects(query):
+                continue
+            aps = authenticator.derive_node_aps(
+                signed.box, pseudo, signed.signature, user_roles, rng
+            )
+            vo.add(InaccessibleNodeEntry(box=signed.box, aps=aps))
+    return vo
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +119,17 @@ def test_range_query_matches_ground_truth(env):
             if query.contains_point(s.record.key) and s.record.policy.evaluate(roles)
         )
         assert sorted(r.value for r in records) == expected
+
+
+@pytest.mark.parametrize("lo, hi", [(50, 9500), (2400, 2600), (5000, 5000), (LO, HI)])
+def test_range_vo_byte_identical_to_legacy(env, lo, hi):
+    """The engine-backed builder matches the frozen one for the same seed."""
+    _, index, auth = env
+    query = Box((lo,), (hi,))
+    for roles in ({"RoleA"}, {"RoleB"}, set(), {"RoleA", "RoleB"}):
+        legacy = _legacy_continuous_range_vo(index, auth, query, roles, random.Random(17))
+        new = continuous_range_vo(index, auth, query, roles, random.Random(17))
+        assert new.to_bytes() == legacy.to_bytes()
 
 
 def test_equality_on_record(env):

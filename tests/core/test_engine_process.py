@@ -5,8 +5,9 @@ materializer: seeds are pre-drawn in task order and every group element
 crosses the process boundary as canonical bytes, so the VO a process
 pool produces is byte-identical to the threaded one — scheduling,
 worker count, and pickling must not leak into the proof.  The dedup
-tests pin the single-flight contract on the authenticator: concurrent
-queries needing the same APS derivation perform it once.
+tests pin the engine's single-flight contract: concurrent queries
+needing the same APS derivation perform it once, and only the owner
+counts it.
 """
 
 import random
@@ -18,7 +19,9 @@ import repro.core.app_signature as app_signature_mod
 from repro import obs
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import (
+    INACCESSIBLE_RECORD,
     EngineStats,
+    ProofTask,
     _relax_worker_job,
     execute,
     materialize,
@@ -150,13 +153,20 @@ def test_sp_rejects_unknown_relax_backend(env):
 # ----------------------------------------------------------------------
 # Cross-query single-flight dedup
 # ----------------------------------------------------------------------
-def test_concurrent_derivations_deduplicate(env, monkeypatch):
-    """Two threads wanting the same APS perform exactly one relax."""
+def _race_two_queries(env, monkeypatch):
+    """Two ``workers=1`` materializations of the same APS, overlapped.
+
+    The first query owns the flight and is held inside ``relax`` until
+    the second has joined it as a waiter.  Returns the relax calls made,
+    each query's APS and engine stats, and the dedup-hit count delta.
+    """
     universe, owner, tree, auth = env
     authenticator = AppAuthenticator(owner.group, universe, owner.mvk)
     authenticator.enable_aps_cache()
     leaf = tree.leaf_at((6,))  # "RoleA and RoleB" — inaccessible to RoleB
     roles = frozenset({"RoleB"})
+    task = ProofTask(kind=INACCESSIBLE_RECORD, signature=leaf.signature,
+                     record=leaf.record)
 
     release = threading.Event()
     calls = []
@@ -172,12 +182,13 @@ def test_concurrent_derivations_deduplicate(env, monkeypatch):
     previous = obs.set_enabled(True)
     counter = app_signature_mod._M_INFLIGHT
     hits_before = counter.value(outcome="dedup_hit")
-    results = {}
+    results, stats = {}, {}
 
     def derive(tag):
-        results[tag] = authenticator.derive_record_aps(
-            leaf.record, leaf.signature, roles, random.Random(8)
-        )
+        stats[tag] = EngineStats()
+        vo = materialize([task], authenticator, roles, random.Random(8),
+                         workers=1, stats=stats[tag])
+        results[tag] = vo.entries[0].aps
 
     try:
         first = threading.Thread(target=derive, args=("a",))
@@ -200,10 +211,62 @@ def test_concurrent_derivations_deduplicate(env, monkeypatch):
     finally:
         release.set()
         obs.set_enabled(previous)
+    return calls, results, stats, counter.value(outcome="dedup_hit") - hits_before
 
+
+def test_concurrent_derivations_deduplicate(env, monkeypatch):
+    """Two threads wanting the same APS perform exactly one relax."""
+    calls, results, _stats, dedup_hits = _race_two_queries(env, monkeypatch)
     assert len(calls) == 1, "the waiter must reuse the owner's derivation"
     assert results["a"].to_bytes() == results["b"].to_bytes()
-    assert counter.value(outcome="dedup_hit") == hits_before + 1
+    assert dedup_hits == 1
+
+
+def test_concurrent_workers1_count_one_derivation(env, monkeypatch):
+    """A query that waited on another query's flight derived nothing."""
+    calls, _results, stats, dedup_hits = _race_two_queries(env, monkeypatch)
+    assert stats["a"].relax_calls + stats["b"].relax_calls == len(calls) == 1
+    assert dedup_hits == 1
+
+
+def test_concurrent_queries_keep_their_own_cache_counts(env, monkeypatch):
+    """A query's cache hits/misses are its own, not those of a query that
+    ran on the same pooled authenticator while it was deriving."""
+    universe, owner, tree, auth = env
+    authenticator = AppAuthenticator(owner.group, universe, owner.mvk)
+    authenticator.enable_aps_cache()
+    roles = frozenset({"RoleB"})
+
+    def task_at(key):
+        leaf = tree.leaf_at(key)
+        return ProofTask(kind=INACCESSIBLE_RECORD, signature=leaf.signature,
+                         record=leaf.record)
+
+    warm, cold = task_at((0,)), task_at((6,))  # "RoleA", "RoleA and RoleB"
+    materialize([warm], authenticator, roles, random.Random(1))
+    inside, release = threading.Event(), threading.Event()
+    real_relax = app_signature_mod.relax
+
+    def held_relax(*args, **kwargs):
+        inside.set()
+        if not release.wait(timeout=30):
+            raise AssertionError("never released")
+        return real_relax(*args, **kwargs)
+
+    monkeypatch.setattr(app_signature_mod, "relax", held_relax)
+    slow_stats, fast_stats = EngineStats(), EngineStats()
+    slow = threading.Thread(target=materialize, args=(
+        [cold], authenticator, roles, random.Random(2)), kwargs={"stats": slow_stats})
+    try:
+        slow.start()
+        assert inside.wait(timeout=30)
+        materialize([warm], authenticator, roles, random.Random(3), stats=fast_stats)
+    finally:
+        release.set()
+        slow.join(timeout=30)
+    assert not slow.is_alive()
+    assert (fast_stats.aps_cache_hits, fast_stats.aps_cache_misses) == (1, 0)
+    assert (slow_stats.aps_cache_hits, slow_stats.aps_cache_misses) == (0, 1)
 
 
 def test_owner_failure_wakes_waiters(env):
